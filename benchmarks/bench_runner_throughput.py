@@ -14,12 +14,19 @@ What the curve shows:
   interpreters cost more to boot than 30 trials cost to run;
 * the fork-server beats serial even at 30 jobs (fork start is ~2ms and
   trials restore a cached checkpoint instead of booting a testbed);
-* fork-server throughput scales near-linearly in workers out to 3000
-  jobs, reported as jobs/sec/worker.
+* fork-server throughput is bounded by the host's CPUs, not
+  near-linear in workers.  The archived curve comes from a 2-CPU host:
+  at 3000 jobs, 1 -> 2 workers went 335.0 -> 506.1 jobs/s (an earlier
+  archived run on the same host measured 322.6 -> 325.6), and 4 or 8
+  workers only oversubscribe the two CPUs (544.8 and 486.6 jobs/s).
+  Read a curve against the ``host`` block it records.
 
 The archived artefact is JSON with a fixed schema and canonical key
-order (``benchmarks/output/runner_throughput.json``); absolute rates
-vary with the host, the schema and the parity verdicts must not.
+order (``benchmarks/output/runner_throughput.json``) plus its rendered
+table (``runner_throughput.txt``).  Its ``host`` object records
+``os.cpu_count()``, the CPUs this process may run on, the Python
+version and the fork-server's start method; absolute rates vary with
+the host, the schema and the parity verdicts must not.
 
 Run directly for the full matrix (the CI artifact)::
 
@@ -31,7 +38,9 @@ or through pytest-benchmark for the reduced matrix::
 """
 
 import json
+import os
 import pathlib
+import platform
 import time
 
 from repro.runner import ForkServerPool, SerialRunner, WorkerPool, plan_fuzz
@@ -119,16 +128,24 @@ def build_curve(sizes=SIZES, worker_counts=WORKER_COUNTS):
             "components": COMPONENTS,
             "root_seed": ROOT_SEED,
         },
-        "context": preferred_context(),
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "cpus_available": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "start_method": preferred_context(),
+        },
         "matrix": matrix,
     }
 
 
 def render(curve):
+    host = curve["host"]
     lines = [
         "campaign execution engines on Xen "
         f"{curve['campaign']['version']} fuzz trials "
-        f"(start method: {curve['context']})",
+        f"(start method: {host['start_method']}, "
+        f"{host['cpus_available']}/{host['cpu_count']} CPUs, "
+        f"Python {host['python']})",
         f"{'mode':<14}{'workers':<9}{'jobs':<7}{'wall (s)':<10}"
         f"{'jobs/s':<9}{'jobs/s/worker':<15}{'parity'}",
         "-" * 72,
@@ -146,6 +163,7 @@ def render(curve):
 def write_artifact(curve, path=OUTPUT_PATH):
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(curve, indent=2, sort_keys=True) + "\n")
+    path.with_suffix(".txt").write_text(render(curve) + "\n")
     return path
 
 

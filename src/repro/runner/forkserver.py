@@ -68,6 +68,7 @@ from repro.runner.pool import (
     JobFn,
     RunnerOutcome,
     WorkerPool,
+    _liveness_grace,
     _ResultChannel,
     _resume_into,
     _SignalGuard,
@@ -468,8 +469,6 @@ class ForkServerPool(WorkerPool):
             self._shutdown(workers)
 
         if outcome.interrupted:
-            if store is not None:
-                store.flush()
             hub.emit(ev.CAMPAIGN_INTERRUPTED, detail=outcome.interrupt_signal)
         elif self._halted:
             if self.degrade:
@@ -480,6 +479,8 @@ class ForkServerPool(WorkerPool):
                 self._fail_remaining(
                     pending, abandoned, outcome, store, hub, self._halted
                 )
+        if store is not None:
+            store.flush()
         hub.emit(ev.CAMPAIGN_FINISHED)
         return outcome
 
@@ -757,10 +758,7 @@ class ForkServerPool(WorkerPool):
         for worker in list(workers.values()):
             if not worker.busy or not worker.process.is_alive():
                 continue
-            grace = (
-                self.liveness_grace if worker.ready
-                else max(self.liveness_grace, 30.0)
-            )
+            grace = _liveness_grace(self.liveness_grace, worker)
             stale = now - worker.last_seen()
             if stale <= grace:
                 continue

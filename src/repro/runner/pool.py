@@ -259,6 +259,8 @@ class SerialRunner:
                                 detail=detail, delay=delay,
                             )
                             if delay:
+                                if store is not None:
+                                    store.flush()
                                 time.sleep(delay)
                             continue
                         outcome.failures[spec.job_id] = detail
@@ -281,11 +283,11 @@ class SerialRunner:
                         attempt=attempt,
                     )
                     break
+                if store is not None:
+                    store.flush()
             if guard.tripped or self._stop_requested:
                 outcome.interrupted = True
                 outcome.interrupt_signal = guard.describe() or "stop-requested"
-                if store is not None:
-                    store.flush()
                 hub.emit(
                     ev.CAMPAIGN_INTERRUPTED, detail=outcome.interrupt_signal
                 )
@@ -308,6 +310,16 @@ _LIVE_WORKERS: "weakref.WeakSet" = weakref.WeakSet()
 #: killing a booting worker for "no heartbeat" just reboots the same
 #: slow path.
 _BOOT_GRACE = 30.0
+
+
+def _liveness_grace(steady: float, worker: "_Worker") -> float:
+    """Heartbeat allowance for one worker, shared by both pools.
+
+    A still-booting interpreter has not started its beat thread yet;
+    give it the boot allowance, not the (often much tighter)
+    steady-state grace.
+    """
+    return steady if worker.ready else max(steady, _BOOT_GRACE)
 
 
 def _reap_orphans() -> None:
@@ -545,13 +557,13 @@ class WorkerPool:
             self._shutdown(workers)
 
         if outcome.interrupted:
-            if store is not None:
-                store.flush()
             hub.emit(ev.CAMPAIGN_INTERRUPTED, detail=outcome.interrupt_signal)
         elif self._halted:
             self._fail_remaining(
                 pending, abandoned, outcome, store, hub, self._halted
             )
+        if store is not None:
+            store.flush()
         hub.emit(ev.CAMPAIGN_FINISHED)
         return outcome
 
@@ -621,7 +633,13 @@ class WorkerPool:
         Reads are non-blocking and frame-parsed in the parent: a
         worker killed mid-write leaves at worst a partial frame in its
         private buffer, never a blocked read or a poisoned lock.
+
+        The store is flushed before blocking: one commit covers the
+        whole scheduling round, and no transaction is held across an
+        idle wait.
         """
+        if store is not None:
+            store.flush()
         conns = {
             worker.conn: worker
             for worker in workers.values() if not worker.eof
@@ -732,13 +750,7 @@ class WorkerPool:
             spec, attempt = worker.spec, worker.attempt
             if spec is None or not worker.process.is_alive():
                 continue
-            # A still-booting interpreter has not started its beat
-            # thread yet; give it the boot allowance, not the (often
-            # much tighter) steady-state grace.
-            grace = (
-                self.liveness_grace if worker.ready
-                else max(self.liveness_grace, _BOOT_GRACE)
-            )
+            grace = _liveness_grace(self.liveness_grace, worker)
             stale = now - worker.last_seen()
             if stale <= grace:
                 continue

@@ -10,6 +10,20 @@ what powers ``--resume``: only pending and failed jobs are re-queued.
 Only the parent (pool) process writes the store — workers ship their
 payloads back over a queue — so there is no cross-process SQLite
 contention to manage.
+
+Commit points.  :meth:`ResultStore.register` commits, and
+:meth:`~ResultStore.close` commits before closing; the state
+transitions (:meth:`~ResultStore.mark_running`,
+:meth:`~ResultStore.record_attempt`, :meth:`~ResultStore.record_success`,
+:meth:`~ResultStore.record_failure`) only join the connection's open
+transaction.  :meth:`~ResultStore.flush` is the one commit point for
+them: the runners call it once per scheduling round, right before the
+parent blocks, so one fsynced commit covers a whole round of
+transitions instead of three per job.  Every commit is still a full
+rollback-journal commit with SQLite's default ``synchronous=FULL``.
+A parent killed mid-round loses at most that round's uncommitted
+transitions; those jobs are not ``done``, so ``--resume`` re-runs them
+and, jobs being deterministic, reproduces identical results.
 """
 
 from __future__ import annotations
@@ -264,11 +278,14 @@ class ResultStore:
     # -- lifecycle ------------------------------------------------------
 
     def flush(self) -> None:
-        """Force pending writes out — the checkpointed-shutdown hook."""
+        """Commit every transition recorded since the last flush."""
         self._commit()
 
     def close(self) -> None:
-        self._conn.close()
+        try:
+            self._commit()
+        finally:
+            self._conn.close()
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -361,7 +378,6 @@ class ResultStore:
             " WHERE job_id = ?",
             (self._clock(), job_id),
         )
-        self._commit()
 
     def record_success(
         self, job_id: str, payload: dict, wall_time: Optional[float] = None
@@ -375,14 +391,12 @@ class ResultStore:
             " WHERE job_id = ?",
             (DONE, wall_time, self._clock(), job_id),
         )
-        self._commit()
 
     def record_failure(self, job_id: str, detail: str = "") -> None:
         self._sql(
             "UPDATE jobs SET status = ?, updated_at = ? WHERE job_id = ?",
             (FAILED, self._clock(), job_id),
         )
-        self._commit()
         del detail  # logged per-attempt via record_attempt
 
     def _set_status(self, job_id: str, status: str) -> None:
@@ -390,7 +404,6 @@ class ResultStore:
             "UPDATE jobs SET status = ?, updated_at = ? WHERE job_id = ?",
             (status, self._clock(), job_id),
         )
-        self._commit()
 
     # -- queries --------------------------------------------------------
 

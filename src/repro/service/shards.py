@@ -168,7 +168,10 @@ def compact(store_paths: Sequence[str], out_path: str) -> CompactReport:
             elif status_of.get(job_id) == FAILED:
                 out.record_failure(job_id)
                 failed += 1
-        out.flush()
+            # One commit per recorded job (a no-op for unrecorded ones):
+            # SQLite's header counts commits, so this cadence is part of
+            # the file's bytes and of every archived sha256.
+            out.flush()
     return CompactReport(
         out_path=out_path,
         sources=len(store_paths),

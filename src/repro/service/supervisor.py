@@ -443,7 +443,12 @@ class Supervisor:
         return on_event
 
     def _ack(self, record: CampaignRecord, store: ResultStore) -> None:
-        """Journal a progress checkpoint (advisory; store is truth)."""
+        """Journal a progress checkpoint (advisory; store is truth).
+
+        The store commits first, so the journal never claims progress
+        the store has not made durable.
+        """
+        store.flush()
         summary = store.summary()
         record.ok_jobs = summary.done
         record.failed_jobs = summary.failed

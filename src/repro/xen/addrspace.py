@@ -156,9 +156,11 @@ class AddressSpace:
             return self.xen.m2p_frames[frame_slot], word
 
         if kind == XEN_SPECIAL_LINEAR_ALIAS:
+            # A linear-alias descriptor copied into a lower PUD slot
+            # puts ``va`` below the alias base: a negative frame.
             offset = va - layout.LINEAR_ALIAS_START
             mfn = offset >> PAGE_SHIFT
-            if mfn >= self.xen.machine.num_frames:
+            if not 0 <= mfn < self.xen.machine.num_frames:
                 raise deny("alias beyond end of memory")
             return mfn, word_index(va)
 

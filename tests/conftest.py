@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.testbed import TestBed, build_testbed
 from repro.guest.kernel import GuestKernel
+from repro.runner.store import ResultStore
 from repro.xen.hypervisor import Xen
 from repro.xen.machine import Machine
 from repro.xen.versions import XEN_4_6, XEN_4_8, XEN_4_13
@@ -77,3 +78,20 @@ def bed413() -> TestBed:
 def bed(request) -> TestBed:
     """A full testbed, parametrised over all three versions."""
     return build_testbed(request.param)
+
+
+class CommitCountingStore(ResultStore):
+    """A result store that counts its real commits.
+
+    Only a commit that closes an open transaction counts: committing
+    with nothing pending writes nothing to disk.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.commits = 0
+        super().__init__(*args, **kwargs)
+
+    def _commit(self) -> None:
+        if self._conn.in_transaction:
+            self.commits += 1
+        super()._commit()

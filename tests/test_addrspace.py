@@ -11,10 +11,11 @@ from repro.xen.constants import (
     PTE_PSE,
     PTE_RW,
     PTE_USER,
+    XEN_SPECIAL_LINEAR_ALIAS,
 )
 from repro.xen.hypervisor import Xen
 from repro.xen.machine import Machine
-from repro.xen.paging import make_pte
+from repro.xen.paging import make_pte, make_special_pte
 from repro.xen.versions import XEN_4_6, XEN_4_8, XEN_4_13
 from tests.conftest import make_guest
 
@@ -157,6 +158,22 @@ class TestLinearAlias:
             xen.addrspace.guest_translate(
                 guest, layout.alias_va(xen.machine.num_frames), Access.READ
             )
+
+    @pytest.mark.parametrize("version", [XEN_4_6, XEN_4_13], ids=["4.6", "4.13"])
+    def test_alias_descriptor_below_alias_base_faults(self, version):
+        # A linear-alias descriptor copied into PUD slot 0 (the RO M2P
+        # slot) resolves addresses below the alias base to negative
+        # frames; that is a guest fault, not a machine error.
+        xen = Xen(version, Machine(512))
+        guest = make_guest(xen)
+        xen.machine.write_word(
+            xen.xen_pud_mfn, 0, make_special_pte(XEN_SPECIAL_LINEAR_ALIAS)
+        )
+        with pytest.raises(GuestFault) as excinfo:
+            xen.addrspace.guest_translate(
+                guest, layout.RO_MPT_START, Access.READ
+            )
+        assert "alias" in excinfo.value.reason
 
 
 class TestLinearPtRestriction:

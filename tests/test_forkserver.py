@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main as cli_main
 from repro.core.checkpoint import CheckpointDiverged, TestbedCheckpoint
 from repro.core.fuzz import RandomErroneousStateCampaign
 from repro.core.testbed import build_testbed
@@ -47,6 +48,7 @@ from repro.runner import forkserver
 from repro.runner.forkserver import _reset_worker_cache, preferred_context
 from repro.xen.snapshot import machine_digest
 from repro.xen.versions import XEN_4_13
+from tests.conftest import CommitCountingStore
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -312,6 +314,43 @@ class TestForkServerPool:
         assert no_orphans()
 
 
+class TestGroupCommit:
+    def test_fuzz_run_commits_once_per_round_and_readers_see_a_prefix(
+        self, tmp_path
+    ):
+        specs = plan_fuzz("4.13", ["idt", "m2p"], 100, 11)
+        assert len(specs) == 200
+        path = str(tmp_path / "gc.sqlite")
+        finished: list = []
+        observed: list = []
+
+        def on_event(event) -> None:
+            if event.kind != ev.JOB_FINISHED:
+                return
+            finished.append(event.job_id)
+            if len(finished) == 50:
+                # Mid-round: the writer holds an open transaction.
+                with ResultStore(path) as reader:
+                    observed.append(reader.completed_ids())
+
+        store = CommitCountingStore(path)
+        try:
+            store.commits = 0
+            outcome = ForkServerPool(jobs=2, on_event=on_event).run(
+                specs, store=store
+            )
+            assert not outcome.failures and len(outcome.results) == 200
+            assert store.commits / len(specs) <= 1.25
+        finally:
+            store.close()
+        # The reader saw the jobs committed by earlier rounds: a prefix
+        # of the completion order, never the current round's tail.
+        [done] = observed
+        assert 0 < len(done) < 50
+        assert done == set(finished[:len(done)])
+        assert no_orphans()
+
+
 class TestGracefulShutdown:
     def test_sigterm_flushes_batch_back_and_resumes_exactly(self, tmp_path):
         """In-flight batch members are never recorded: resume is exact."""
@@ -413,6 +452,72 @@ class TestGracefulShutdown:
             if proc.poll() is None:
                 proc.kill()
             proc.stdout.close()
+
+    def test_parent_sigkill_mid_round_then_resume_matches_serial(
+        self, tmp_path, capsys
+    ):
+        """A hard-killed parent loses at most its uncommitted round.
+
+        The driver SIGKILLs itself from the event callback of the 30th
+        finished job, after that job's result was recorded but before
+        the round's commit: the store must come back with fewer than
+        30 done jobs, and ``--resume`` must finish the campaign with
+        output identical to a serial run.
+        """
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = str(tmp_path / "killed.sqlite")
+        driver = tmp_path / "driver.py"
+        driver.write_text(textwrap.dedent(
+            f"""
+            import os
+            import signal
+            import sys
+
+            sys.path.insert(0, {os.path.abspath(src)!r})
+            from repro.core.fuzz import RandomErroneousStateCampaign
+            from repro.runner import ForkServerPool, ResultStore
+            from repro.runner import events as ev
+            from repro.xen.versions import version_by_name
+
+            finished = []
+
+            def on_event(event):
+                if event.kind == ev.JOB_FINISHED:
+                    finished.append(event.job_id)
+                    if len(finished) == 30:
+                        os.kill(os.getpid(), signal.SIGKILL)
+
+            if __name__ == "__main__":
+                RandomErroneousStateCampaign(
+                    version_by_name("4.13"), seed=7
+                ).run(
+                    runs_per_component=12,
+                    runner=ForkServerPool(jobs=2, on_event=on_event),
+                    store=ResultStore({path!r}),
+                )
+            """
+        ))
+        proc = subprocess.run(
+            [sys.executable, str(driver)], timeout=120,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        with ResultStore(path) as store:
+            summary = store.summary()
+        assert summary.total == 60
+        assert 0 < summary.done < 30
+        assert summary.failed == 0
+
+        argv = ["fuzz", "--runs", "12", "--seed", "7", "--version", "4.13"]
+        assert cli_main(
+            argv + ["--jobs", "2", "--fork-server", "--resume", path]
+        ) == 0
+        resumed = capsys.readouterr()
+        assert "resuming: " in resumed.err
+        assert cli_main(argv) == 0
+        assert resumed.out == capsys.readouterr().out
+        with ResultStore(path) as store:
+            assert store.summary().done == 60
 
     @staticmethod
     def _alive(pid: int) -> bool:

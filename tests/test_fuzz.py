@@ -8,6 +8,7 @@ from repro.core.fuzz import (
     FuzzResult,
     RandomErroneousStateCampaign,
     default_components,
+    trial_seed,
 )
 from repro.xen.versions import XEN_4_8, XEN_4_13
 
@@ -65,6 +66,22 @@ class TestCampaign:
         )
         report = campaign.run(runs_per_component=3)
         assert {r.component for r in report.results} == {"idt"}
+
+
+class TestRegressions:
+    def test_shared_pud_alias_in_lower_slot_is_classified(self):
+        # This trial copies a linear-alias descriptor into the PUD slot
+        # the RO M2P read goes through; the read used to escape as an
+        # unclassified MachineError (negative frame number).
+        root = 1227950264
+        shared_pud = [c for c in default_components() if c.name == "shared-pud"]
+        campaign = RandomErroneousStateCampaign(
+            XEN_4_13, seed=root, components=shared_pud
+        )
+        result = campaign.run_trial(
+            shared_pud[0], trial_seed(root, "shared-pud", 5)
+        )
+        assert result.outcome == "exception"
 
 
 class TestReport:

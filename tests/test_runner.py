@@ -8,6 +8,7 @@ results.
 """
 
 import sqlite3
+import time
 from collections import Counter
 
 import pytest
@@ -29,13 +30,17 @@ from repro.runner import (
     run_jobs,
 )
 from repro.runner import events as ev
-from repro.runner.pool import CampaignFailed
+from repro.runner import pool as pool_module
+from repro.runner.events import EventHub
+from repro.runner.forkserver import ForkServerPool, _BatchWorker
+from repro.runner.pool import CampaignFailed, _Worker
 from repro.runner.store import (
     SCHEMA_VERSION,
     StorePlanMismatch,
     StoreSchemaMismatch,
 )
 from repro.xen.versions import XEN_4_13
+from tests.conftest import CommitCountingStore
 
 
 def selftest(behaviour: str) -> JobSpec:
@@ -142,6 +147,130 @@ class TestResultStore:
                 "SELECT updated_at FROM jobs WHERE job_id = ?", (spec.job_id,)
             ).fetchone()
             assert row[0] == 1234.5
+
+
+class TestGroupCommit:
+    """State transitions join one transaction; ``flush`` commits it."""
+
+    def test_serial_runner_commits_once_per_job(self, tmp_path):
+        specs = [selftest("ok"), selftest("fail"), selftest("flaky:1")]
+        store = CommitCountingStore(str(tmp_path / "s.sqlite"))
+        try:
+            store.commits = 0  # opening stamps the schema version
+            outcome = SerialRunner(retries=1).run(specs, store=store)
+            assert len(outcome.results) == 2 and len(outcome.failures) == 1
+            assert store.commits == 1 + len(specs)  # register + one per job
+        finally:
+            store.close()
+
+    def test_serial_retry_commits_before_its_backoff_sleep(self, tmp_path):
+        store = CommitCountingStore(str(tmp_path / "s.sqlite"))
+        try:
+            store.commits = 0
+            SerialRunner(retries=1, backoff=0.01).run(
+                [selftest("flaky:1")], store=store
+            )
+            assert store.commits == 1 + 2  # register, pre-sleep, terminal
+        finally:
+            store.close()
+
+    def test_close_without_flush_keeps_every_transition(self, tmp_path):
+        path = str(tmp_path / "s.sqlite")
+        ok, bad, running = selftest("ok"), selftest("fail"), selftest("ok:2")
+        store = ResultStore(path)
+        store.register([ok, bad, running])
+        store.mark_running(ok.job_id)
+        store.record_attempt(ok.job_id, 0, "done", "", 0.5)
+        store.record_success(ok.job_id, {"n": 1}, 0.5)
+        store.record_attempt(bad.job_id, 0, "error", "boom")
+        store.record_failure(bad.job_id, "boom")
+        store.mark_running(running.job_id)
+        store.close()
+        with ResultStore(path) as reopened:
+            assert reopened.statuses() == {
+                ok.job_id: "done", bad.job_id: "failed",
+                running.job_id: "running",
+            }
+            assert reopened.payload(ok.job_id) == {"n": 1}
+            assert reopened.attempts_of(ok.job_id) == 1
+            assert reopened.attempts_of(bad.job_id) == 1
+
+    def test_unflushed_transitions_are_invisible_to_other_readers(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "s.sqlite")
+        spec = selftest("ok")
+        with ResultStore(path) as writer:
+            writer.register([spec])
+            writer.record_success(spec.job_id, {"n": 1})
+            with ResultStore(path) as reader:
+                assert reader.completed_ids() == set()
+            writer.flush()
+            with ResultStore(path) as reader:
+                assert reader.completed_ids() == {spec.job_id}
+
+
+class _FakeProcess:
+    """A live worker process stand-in for liveness checks."""
+
+    def __init__(self):
+        self.alive = True
+
+    def is_alive(self) -> bool:
+        return self.alive
+
+    def terminate(self) -> None:
+        self.alive = False
+
+    kill = terminate
+
+    def join(self, timeout=None) -> None:
+        del timeout
+
+
+class _FakeConn:
+    def close(self) -> None:
+        pass
+
+
+class TestBootGrace:
+    """Both pools give a not-ready worker the one boot allowance."""
+
+    @staticmethod
+    def _not_ready_worker(pool_cls, spec, stale):
+        common = dict(
+            worker_id=0, process=_FakeProcess(), inbox=_FakeConn(),
+            conn=_FakeConn(), started_at=time.monotonic() - stale,
+        )
+        if pool_cls is ForkServerPool:
+            return _BatchWorker(batch=[(spec, 0)], **common)
+        return _Worker(spec=spec, **common)
+
+    @pytest.mark.parametrize(
+        "pool_cls", [WorkerPool, ForkServerPool], ids=["spawn", "fork-server"]
+    )
+    def test_not_ready_grace_derives_from_boot_constant(
+        self, monkeypatch, pool_cls
+    ):
+        monkeypatch.setattr(pool_module, "_BOOT_GRACE", 7.5)
+        spec = selftest("ok")
+        verdicts = []
+        for stale in (5.0, 10.0):
+            pool = pool_cls(jobs=1, liveness_grace=0.5, retries=0)
+            worker = self._not_ready_worker(pool_cls, spec, stale)
+            workers = {0: worker}
+            recorder = EventRecorder()
+            pool._check_liveness(
+                workers, [], pool_module.RunnerOutcome(), None,
+                EventHub(total=1, callback=recorder),
+            )
+            verdicts.append((bool(workers), [
+                event.detail for event in recorder.events
+                if event.kind == ev.WORKER_UNRESPONSIVE
+            ]))
+        assert verdicts[0] == (True, [])  # inside the 7.5 s boot grace
+        kept, [detail] = verdicts[1]
+        assert not kept and "grace 7.5s" in detail
 
 
 class TestStorePlanGuard:

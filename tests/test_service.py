@@ -22,7 +22,13 @@ import time
 
 import pytest
 
-from repro.runner import ResultStore, plan_testcases
+from repro.runner import (
+    ForkServerPool,
+    ResultStore,
+    SerialRunner,
+    plan_fuzz,
+    plan_testcases,
+)
 from repro.runner.store import StoreCorrupt
 from repro.service import (
     QuotaConfig,
@@ -306,6 +312,25 @@ class TestCompaction:
         assert report.jobs == 1  # same job id deduped
         assert report.ok == 1
 
+    #: Compacted store of ``plan_fuzz("4.13", ["idt", "m2p"], 20, 5)``,
+    #: recorded from a serial store before commits were grouped per
+    #: scheduling round.  Compaction's commit cadence is part of the
+    #: file bytes, so this pins it.
+    PINNED_FUZZ_SHA256 = (
+        "66fff96c556aa95607d3ea64cec838661bb309a1bb012246a7aa51eb4a99d847"
+    )
+
+    @pytest.mark.parametrize("pool", ["serial", "fork-server"])
+    def test_compacted_fuzz_store_sha256_is_pinned(self, tmp_path, pool):
+        specs = plan_fuzz("4.13", ["idt", "m2p"], 20, 5)
+        runner = SerialRunner() if pool == "serial" else ForkServerPool(jobs=2)
+        path = str(tmp_path / "shard.sqlite")
+        with ResultStore(path) as store:
+            outcome = runner.run(specs, store=store)
+        assert not outcome.failures
+        report = shards.compact([path], str(tmp_path / "compacted.sqlite"))
+        assert report.sha256 == self.PINNED_FUZZ_SHA256
+
     def test_trace_dir_is_normalized_out(self, tmp_path):
         from dataclasses import replace
 
@@ -520,6 +545,35 @@ class TestSupervisorResume:
         finally:
             rebooted.close()
         assert compact_data_dir(data_dir).sha256 == reference
+
+
+class TestAckDurability:
+    def test_batch_ack_never_runs_ahead_of_the_durable_store(self, tmp_path):
+        """Every journalled ``batch`` count is already committed."""
+        sup = make_supervisor(tmp_path, ack_every=1)
+        checks = []
+        append = sup.journal.append
+
+        def checked_append(kind, **fields):
+            if kind == "batch":
+                shard = shards.shard_store_path(
+                    sup.config.data_dir, "alice", fields["id"]
+                )
+                with ResultStore(shard) as reader:  # a second connection
+                    checks.append((fields["ok"], reader.summary().done))
+            return append(kind, **fields)
+
+        sup.journal.append = checked_append
+        try:
+            plan = {"kind": "fuzz", "version": "4.13", "runs": 2, "seed": 3}
+            status, payload = sup.submit(plan, "alice")
+            assert status == 202
+            assert sup.run_until_idle(60)
+            assert sup.status(payload["id"])["state"] == "done"
+        finally:
+            sup.close()
+        assert len(checks) > 1
+        assert all(acked <= durable for acked, durable in checks), checks
 
 
 class TestDegradationLadder:
