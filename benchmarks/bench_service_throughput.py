@@ -13,9 +13,19 @@ submissions against a tight quota, counting how many are admitted
 versus shed with 429 + Retry-After.  Shedding is the service's
 overload story, so the benchmark asserts the split exactly.
 
+Both timed paths start their workers from the same warm state: one
+untimed warm-up pool runs first and pays the process-wide one-time
+cost (booting the stdlib forkserver that every later
+:class:`~repro.runner.pool.WorkerPool` forks its workers from).
+Without it the path that happens to run first carries that boot and
+the ratio mostly measures run order.
+
 The archived artefact is JSON with a fixed schema
-(``benchmarks/output/service_throughput.json``); absolute rates vary
-with the host, the parity verdict and shed counts must not.
+(``benchmarks/output/service_throughput.json``) plus its rendered
+table (``service_throughput.txt``).  Its ``host`` object records
+``os.cpu_count()``, the CPUs this process may run on, the Python
+version and the worker pool's start method; absolute rates vary with
+the host, the parity verdict and shed counts must not.
 
 Run directly for the full matrix (the CI artifact)::
 
@@ -27,12 +37,15 @@ or through pytest-benchmark for the reduced matrix::
 """
 
 import json
+import os
 import pathlib
+import platform
 import shutil
 import tempfile
 import time
 
 from repro.runner import WorkerPool, plan_fuzz
+from repro.runner.pool import pool_context
 from repro.service import (
     QuotaConfig,
     ServiceConfig,
@@ -55,6 +68,12 @@ def _plan(seed):
         "runs": RUNS_PER_COMPONENT,
         "seed": seed,
     }
+
+
+def _warm_up():
+    """Untimed: pay the one-time worker start-up cost before timing."""
+    outcome = WorkerPool(jobs=2).run(plan_fuzz(VERSION, ["idt"], 2, ROOT_SEED - 1))
+    assert not outcome.failures, outcome.failures
 
 
 def _direct_baseline(workdir):
@@ -149,6 +168,7 @@ def _shed_burst(workdir, burst, submissions):
 def build_report(shed_cases=((2, 8), (4, 8))):
     workdir = tempfile.mkdtemp(prefix="bench-service-")
     try:
+        _warm_up()
         direct_jobs, direct_wall, direct_sha = _direct_baseline(workdir)
         svc_jobs, svc_wall, events, svc_sha = _through_service(workdir)
         shed_rows = [
@@ -163,6 +183,12 @@ def build_report(shed_cases=((2, 8), (4, 8))):
             "tenants": list(TENANTS),
             "jobs": direct_jobs,
             "root_seed": ROOT_SEED,
+        },
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "cpus_available": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "pool_start_method": pool_context().get_start_method(),
         },
         "direct": {
             "wall_s": round(direct_wall, 3),
@@ -182,10 +208,14 @@ def build_report(shed_cases=((2, 8), (4, 8))):
 
 
 def render(report):
+    host = report["host"]
     lines = [
         f"campaign service vs bare pool on Xen {report['workload']['version']} "
         f"fuzz trials ({report['workload']['jobs']} jobs, "
-        f"{len(report['workload']['tenants'])} tenants)",
+        f"{len(report['workload']['tenants'])} tenants; "
+        f"pool start method: {host['pool_start_method']}, "
+        f"{host['cpus_available']}/{host['cpu_count']} CPUs, "
+        f"Python {host['python']})",
         f"{'path':<16}{'wall (s)':<10}{'jobs/s':<9}{'sha256[:12]'}",
         "-" * 52,
         f"{'bare pool':<16}{report['direct']['wall_s']:<10.3f}"
@@ -215,6 +245,7 @@ def render(report):
 def write_artifact(report, path=OUTPUT_PATH):
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.with_suffix(".txt").write_text(render(report) + "\n")
     return path
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.analysis.report import VersionSummary, summarize_by_version
 from repro.core.campaign import RunResult
@@ -50,6 +49,35 @@ class HandlingComparison:
         )
 
 
+def fisher_exact_2x2(a: int, b: int, c: int, d: int) -> Tuple[float, float]:
+    """Fisher's exact test on the 2x2 table ``[[a, b], [c, d]]``.
+
+    Returns ``(odds_ratio, p_value)`` as ``scipy.stats.fisher_exact``
+    does: the sample odds ratio ``a*d / (b*c)`` (``inf`` when ``b*c``
+    is 0, ``nan`` when a row or column is empty) and the two-sided
+    p-value — the summed hypergeometric probability of every table
+    with the observed margins that is at most ``(1 + 1e-7)`` times as
+    likely as the observed one.  The probabilities share one
+    denominator, so the comparison runs on exact integer weights.
+    """
+    row, col, n = a + b, a + c, a + b + c + d
+    if 0 in (row, col, n - row, n - col):
+        return math.nan, 1.0
+    odds_ratio = a * d / (b * c) if b * c else math.inf
+
+    def weight(x: int) -> int:
+        # C(n, row) * P(top-left cell == x) under fixed margins.
+        return math.comb(col, x) * math.comb(n - col, row - x)
+
+    observed = weight(a)
+    tail = sum(
+        w
+        for w in map(weight, range(max(0, row + col - n), min(row, col) + 1))
+        if w * 10**7 <= observed * (10**7 + 1)
+    )
+    return odds_ratio, min(1.0, tail / math.comb(n, row))
+
+
 def compare_handling(
     results: Sequence[RunResult], version_a: str, version_b: str
 ) -> HandlingComparison:
@@ -60,8 +88,9 @@ def compare_handling(
     summaries = summarize_by_version(results)
     a = summaries.get(version_a, VersionSummary(version=version_a))
     b = summaries.get(version_b, VersionSummary(version=version_b))
-    table = [[a.handled, a.violated], [b.handled, b.violated]]
-    odds_ratio, p_value = scipy_stats.fisher_exact(table)
+    odds_ratio, p_value = fisher_exact_2x2(
+        a.handled, a.violated, b.handled, b.violated
+    )
     return HandlingComparison(
         version_a=version_a,
         version_b=version_b,

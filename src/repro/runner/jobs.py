@@ -224,6 +224,27 @@ def plan_testcases(names: Sequence[str], version: str) -> List[JobSpec]:
 # Worker-side execution
 # ----------------------------------------------------------------------
 
+#: Modules a worker needs for any job kind: the pool's worker loop,
+#: this module, and every module :func:`execute_job`'s branches import
+#: lazily.  :class:`~repro.runner.pool.WorkerPool`'s forkserver imports
+#: them once, so each worker forks with them already loaded.  Keep it
+#: in step with the imports in the ``_execute_*`` functions below.
+WORKER_PRELOAD = (
+    "repro.runner.pool",
+    "repro.runner.jobs",
+    "repro.analysis.report",
+    "repro.core.benchmarking",
+    "repro.core.campaign",
+    "repro.core.fuzz",
+    "repro.core.injections",
+    "repro.core.testbed",
+    "repro.core.testcases",
+    "repro.core.topology",
+    "repro.vulngen.corpus",
+    "repro.vulngen.synthetic",
+    "repro.xen.versions",
+)
+
 
 def execute_job(spec: JobSpec, attempt: int = 0) -> Dict[str, object]:
     """Run one job from scratch and return a picklable payload.
