@@ -14,17 +14,26 @@ What the curve shows:
   after an untimed warm-up pool has booted the stdlib forkserver its
   workers fork from) measures the per-campaign pool cost: starting
   four workers, a testbed boot and a pipe round trip per job, and the
-  teardown.  It still loses to serial on the 30-job campaign, 80.8 vs
-  101.6 jobs/s in the archived run (0.37 s vs 0.30 s);
+  teardown.  It still loses to serial on the 30-job campaign, 105.2 vs
+  126.4 jobs/s in the archived run (0.29 s vs 0.24 s);
 * the fork-server beats serial even at 30 jobs (fork start is ~2ms and
   trials restore a cached checkpoint instead of booting a testbed);
-* fork-server throughput is bounded by the host's CPUs, not
-  near-linear in workers.  The archived curve comes from a 2-CPU host:
-  at 3000 jobs, 1 -> 2 workers went 296.6 -> 571.9 jobs/s, and 4 or 8
-  workers only oversubscribe the two CPUs (567.2 and 485.9 jobs/s;
-  earlier archived runs on the same host measured 1 -> 2 workers as
-  322.6 -> 325.6, 335.0 -> 506.1 and 299.0 -> 597.9).  Read a curve
-  against the ``host`` block it records.
+* fork-server throughput is not near-linear in workers.  The archived
+  curve comes from a 2-CPU host: at 3000 jobs, 1 -> 2 workers went
+  1143.1 -> 1799.1 jobs/s, and 4 and 8 workers on the same two CPUs
+  gave 2021.8 and 2431.4.  Repeated runs on that host spread widely
+  (2 workers 1268-1545, 8 workers 1329-1428 jobs/s in two more
+  passes), so read a single curve against the ``host`` block it
+  records, not as a scaling law.  Curves archived before the typed
+  frame-table restore measured 1 -> 2 workers as 296.6 -> 571.9,
+  322.6 -> 325.6, 335.0 -> 506.1 and 299.0 -> 597.9.
+
+Beside the curve, ``restore_vs_boot`` records the layer the
+fork-server's speed rests on: the median in-process
+:meth:`~repro.core.checkpoint.TestbedCheckpoint.restore` of a bed a
+trial has just dirtied (digest verification included) against the
+median :func:`~repro.core.testbed.build_testbed` cold boot, in ms, with
+the sample count.  The check asserts restore < boot.
 
 The archived artefact is JSON with a fixed schema and canonical key
 order (``benchmarks/output/runner_throughput.json``) plus its rendered
@@ -48,17 +57,24 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import time
 
+from repro.core.checkpoint import TestbedCheckpoint
+from repro.core.fuzz import RandomErroneousStateCampaign
+from repro.core.testbed import build_testbed
 from repro.runner import ForkServerPool, SerialRunner, WorkerPool, plan_fuzz
 from repro.runner.forkserver import preferred_context
 from repro.runner.pool import pool_context
+from repro.xen.versions import version_by_name
 
 ROOT_SEED = 20230701
 VERSION = "4.13"
 COMPONENTS = ["idt", "shared-pud", "m2p", "victim-pagetables", "victim-data"]
 SIZES = (30, 300, 3000)
 WORKER_COUNTS = (1, 2, 4, 8)
+#: Timed restores, and timed cold boots, behind ``restore_vs_boot``.
+RESTORE_SAMPLES = 200
 OUTPUT_PATH = pathlib.Path(__file__).parent / "output" / "runner_throughput.json"
 
 
@@ -99,6 +115,39 @@ def _entry(mode, workers, specs, elapsed, parity, stats=None):
             "forkserver.workers.recycled", 0
         )
     return entry
+
+
+def _median_ms(samples):
+    return round(statistics.median(samples) * 1000, 3)
+
+
+def measure_restore_vs_boot(samples=RESTORE_SAMPLES):
+    """Median restore of a trial-dirtied bed vs median cold boot (ms).
+
+    Each restore follows one fuzz trial on the same bed, so it rewrites
+    what a fork-server restore rewrites and pays the same digest check.
+    """
+    version = version_by_name(VERSION)
+    campaign = RandomErroneousStateCampaign(version)
+    bed = build_testbed(version)
+    checkpoint = TestbedCheckpoint.capture(bed)
+    restores = []
+    for spec in _specs(samples):
+        component = campaign.component_by_name(spec.use_case)
+        campaign.run_trial_on(bed, component, spec.seed)
+        started = time.perf_counter()
+        checkpoint.restore(bed)
+        restores.append(time.perf_counter() - started)
+    boots = []
+    for _ in range(samples):
+        started = time.perf_counter()
+        build_testbed(version)
+        boots.append(time.perf_counter() - started)
+    return {
+        "samples": samples,
+        "restore_ms_p50": _median_ms(restores),
+        "boot_ms_p50": _median_ms(boots),
+    }
 
 
 def build_curve(sizes=SIZES, worker_counts=WORKER_COUNTS):
@@ -147,6 +196,7 @@ def build_curve(sizes=SIZES, worker_counts=WORKER_COUNTS):
             "pool_start_method": pool_context().get_start_method(),
         },
         "matrix": matrix,
+        "restore_vs_boot": measure_restore_vs_boot(),
     }
 
 
@@ -170,6 +220,12 @@ def render(curve):
             f"{row['jobs_per_s_per_worker']:<15.1f}"
             f"{'ok' if row['parity'] else 'DIVERGED'}"
         )
+    layer = curve["restore_vs_boot"]
+    lines.append(
+        f"\nverified checkpoint restore {layer['restore_ms_p50']:.3f} ms vs "
+        f"cold boot {layer['boot_ms_p50']:.3f} ms "
+        f"(medians of {layer['samples']} each)"
+    )
     return "\n".join(lines)
 
 
@@ -208,6 +264,11 @@ def check_curve(curve):
             assert row["snapshot_restores"] > 0, (
                 "fork-server ran a large campaign without its cache"
             )
+    layer = curve["restore_vs_boot"]
+    assert layer["restore_ms_p50"] < layer["boot_ms_p50"], (
+        f"a checkpoint restore ({layer['restore_ms_p50']} ms) must beat a "
+        f"cold boot ({layer['boot_ms_p50']} ms)"
+    )
 
 
 def test_runner_throughput(benchmark):

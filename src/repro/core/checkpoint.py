@@ -22,7 +22,10 @@ Deliberately *not* copied: live object graphs (domains, networks,
 probe buses).  Deep-copying a whole testbed is known-unsafe — clones
 share blob identity with their template, so a trial on the clone can
 corrupt the template — which is why the protocol is capture-once /
-restore-in-place, never ``copy.deepcopy(bed)``.
+restore-in-place, never a deep copy of the bed.  Every layer is copied
+with a typed, flat copy instead (frame-table records through
+:meth:`~repro.xen.frames.FrameTable.copy_info`), which is what keeps a
+restore far cheaper than a cold boot.
 
 Every restore is verified: :meth:`TestbedCheckpoint.restore` recomputes
 :func:`~repro.xen.snapshot.machine_digest` and compares it against the
@@ -42,6 +45,7 @@ from repro.xen.snapshot import MachineSnapshot, machine_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.testbed import TestBed
+    from repro.xen.frames import PageInfo
 
 
 class CheckpointDiverged(RuntimeError):
@@ -82,7 +86,7 @@ class TestbedCheckpoint:
     __test__ = False  # "Test*" name, but not a pytest test class
 
     snapshot: MachineSnapshot
-    frame_info: Dict[int, object]
+    frame_info: Dict[int, "PageInfo"]
     p2m: Dict[int, list]
     dead: Dict[int, bool]
     crashed: bool
@@ -117,7 +121,7 @@ class TestbedCheckpoint:
             )
         return cls(
             snapshot=MachineSnapshot.capture(xen.machine),
-            frame_info=copy.deepcopy(xen.frames._info),  # noqa: SLF001
+            frame_info=xen.frames.copy_info(),
             p2m={d.id: list(d.p2m) for d in bed.all_domains()},
             dead={d.id: d.dead for d in bed.all_domains()},
             crashed=xen.crashed,
@@ -148,7 +152,7 @@ class TestbedCheckpoint:
         """
         xen = bed.xen
         rewritten = self.snapshot.restore(xen.machine)
-        xen.frames._info = copy.deepcopy(self.frame_info)  # noqa: SLF001
+        xen.frames.restore_info(self.frame_info)
         xen.crashed = self.crashed
         xen.crash_banner = self.crash_banner
         xen.console = deque(self.console, maxlen=xen.console.maxlen)

@@ -26,7 +26,6 @@ paper's "system handles the erroneous state" axis.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
@@ -180,7 +179,7 @@ class RecoveryManager:
         xen = self.bed.xen
         checkpoint = HypervisorCheckpoint(
             snapshot=MachineSnapshot.capture(xen.machine),
-            frame_info=copy.deepcopy(xen.frames._info),  # noqa: SLF001
+            frame_info=xen.frames.copy_info(),
             p2m={d.id: list(d.p2m) for d in self.bed.all_domains()},
             domain_ids={d.id for d in self.bed.all_domains()},
             census=frame_type_census(xen),
@@ -247,7 +246,7 @@ class RecoveryManager:
         # Phase 3 — reintegrate: frame table and p2m follow the memory.
         if phases.subs:
             phases.fire("reintegrate")
-        xen.frames._info = copy.deepcopy(checkpoint.frame_info)  # noqa: SLF001
+        xen.frames.restore_info(checkpoint.frame_info)
         domains_changed = False
         for domain in self.bed.all_domains():
             saved = checkpoint.p2m.get(domain.id)

@@ -32,9 +32,10 @@ processes accumulate state and cached snapshots can rot:
 * heartbeat liveness and batch-progress timeouts carry over from the
   base pool, with :func:`~repro.runner.pool.seeded_backoff` retries;
 * repeated worker deaths trip the shared circuit breaker, and the pool
-  then **degrades** to a spawn-per-job :class:`WorkerPool` for the
-  leftover jobs instead of failing the campaign — completed results
-  are preserved through the store;
+  then **degrades** to a one-job-at-a-time :class:`WorkerPool` (workers
+  forked from the preloaded stdlib ``forkserver``, no snapshot cache)
+  for the leftover jobs instead of failing the campaign — completed
+  results are preserved through the store;
 * SIGINT/SIGTERM flush in-flight batch members back to pending (they
   are simply never recorded as done), so ``--resume`` stays exact.
 
@@ -66,6 +67,7 @@ from repro.runner.jobs import (
 )
 from repro.runner.pool import (
     _LIVE_WORKERS,
+    _SHUTDOWN_GRACE,
     JobFn,
     RunnerOutcome,
     WorkerPool,
@@ -324,6 +326,10 @@ class _BatchWorker(_Worker):
     #: Highest infra/batch-done sequence number seen, for dropping
     #: chaos-duplicated control messages.
     infra_seq: int = 0
+    #: Batches sent to the worker, and ``batch-done`` frames received
+    #: back; equal once every batch's counters have been accounted.
+    batches_sent: int = 0
+    batches_done: int = 0
     retiring: bool = False
     recycle_reason: str = ""
 
@@ -344,7 +350,7 @@ class ForkServerPool(WorkerPool):
     digest-verified snapshot restores.  When the circuit breaker opens
     — persistent workers keep dying, an environment problem the
     fork-server cannot out-retry — the pool degrades to a fresh
-    spawn-per-job :class:`WorkerPool` for the remaining jobs instead
+    one-job-at-a-time :class:`WorkerPool` for the remaining jobs instead
     of failing the campaign (``degrade=False`` restores the base
     pool's fail-fast behaviour).
     """
@@ -401,7 +407,7 @@ class ForkServerPool(WorkerPool):
         return None
 
     def _fallback_job_fn(self) -> JobFn:
-        """Job function for the degraded spawn-per-job pool."""
+        """Job function for the degraded one-job-at-a-time pool."""
         if self.job_fn is execute_job_cached:
             return execute_job
         return self.job_fn
@@ -448,11 +454,7 @@ class ForkServerPool(WorkerPool):
                     next_worker_id = self._replenish(
                         workers, pending, next_worker_id
                     )
-                # The last batch's trailing batch-done control message
-                # (carrying the worker's cache counters) lands moments
-                # after its last result; the loop above already exited
-                # by then.  Drain once more so the counters survive.
-                self._drain(workers, pending, outcome, store, hub)
+                self._await_batch_done(workers, pending, outcome, store, hub)
                 if guard.tripped or self._stop_requested:
                     outcome.interrupted = True
                     outcome.interrupt_signal = (
@@ -490,13 +492,14 @@ class ForkServerPool(WorkerPool):
     def _degrade_remaining(
         self, specs, pending, abandoned, outcome, store, hub
     ) -> None:
-        """Circuit open: hand the leftovers to a spawn-per-job pool.
+        """Circuit open: hand the leftovers to a fresh :class:`WorkerPool`.
 
         The degradation ladder's last rung before failure: persistent
         workers keep dying, so run what's left the conservative way —
-        fresh spawn interpreter per worker, one job at a time, no
-        snapshot cache.  Completed results stay in the outcome and the
-        store; only unfinished jobs are re-dispatched.
+        new workers forked from the preloaded stdlib ``forkserver``
+        (not from this process), one job at a time, a cold testbed per
+        job and no snapshot cache.  Completed results stay in the
+        outcome and the store; only unfinished jobs are re-dispatched.
         """
         unfinished = {spec.job_id for _ready, spec, _attempt in pending}
         unfinished.update(spec.job_id for spec, _attempt in abandoned)
@@ -594,6 +597,7 @@ class ForkServerPool(WorkerPool):
                         for spec, attempt in worker.batch
                     ]
                 )
+                worker.batches_sent += 1
             except OSError:
                 pass  # worker just died; _check_crashes re-queues the batch
             for spec, attempt in worker.batch:
@@ -626,6 +630,7 @@ class ForkServerPool(WorkerPool):
             if payload.get("seq", 0) <= worker.infra_seq:
                 return
             worker.infra_seq = payload["seq"]
+            worker.batches_done += 1
             self._on_batch_done(payload, worker, workers, hub)
             return
         if not worker.busy:
@@ -660,6 +665,23 @@ class ForkServerPool(WorkerPool):
             worker.acked = 0
             if worker.retiring:
                 self._retire(workers, worker, hub)
+
+    def _await_batch_done(self, workers, pending, outcome, store, hub) -> None:
+        """Drain until every idle worker has acknowledged every batch.
+
+        A batch's trailing ``batch-done`` frame (carrying the worker's
+        cache counters) lands moments after its last result, so the
+        main loop can exit while one or more are still in flight.
+        Workers at EOF and workers still busy (an interrupted or halted
+        campaign) will send nothing more worth waiting for; the wait is
+        bounded by the shutdown grace either way.
+        """
+        deadline = time.monotonic() + _SHUTDOWN_GRACE
+        while time.monotonic() < deadline and any(
+            not w.eof and not w.busy and w.batches_done < w.batches_sent
+            for w in workers.values()
+        ):
+            self._drain(workers, pending, outcome, store, hub)
 
     def _on_infra(self, payload, job_id, worker, hub) -> None:
         if payload.get("kind") == "restore-diverged":

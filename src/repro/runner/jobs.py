@@ -17,6 +17,7 @@ that survives pickling and JSON storage.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -91,9 +92,15 @@ class JobSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown job kind {self.kind!r}; known: {KINDS}")
 
-    @property
+    @functools.cached_property
     def job_id(self) -> str:
-        """Stable content-derived identifier."""
+        """Stable content-derived identifier.
+
+        Computed once per instance: the pool loop, the store and the
+        event stream read it many times per job.  The cached value lives
+        in the instance ``__dict__``, outside the dataclass fields, so
+        ``asdict``, :meth:`to_json`, equality and hashing never see it.
+        """
         fields = asdict(self)
         fields.pop("trace_dir")  # artefact destination, not experiment identity
         if not fields["metrics"]:

@@ -329,6 +329,9 @@ _LIVE_WORKERS: "weakref.WeakSet" = weakref.WeakSet()
 #: on a loaded machine, and killing a booting worker for "no
 #: heartbeat" just reboots the same slow path.
 _BOOT_GRACE = 30.0
+#: How long teardown waits for workers to exit after their sentinel
+#: (and the fork-server for trailing batch acknowledgements).
+_SHUTDOWN_GRACE = 5.0
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
@@ -934,7 +937,7 @@ class WorkerPool:
                 worker.inbox.send(None)
             except Exception:
                 pass
-        deadline = time.monotonic() + 5.0
+        deadline = time.monotonic() + _SHUTDOWN_GRACE
         for worker in list(workers.values()):
             worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
         for worker in list(workers.values()):

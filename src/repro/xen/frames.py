@@ -13,7 +13,7 @@ exactly what XSA-148 and XSA-182 were.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.errors import EBUSY, EINVAL, EPERM, HypercallError
@@ -66,7 +66,24 @@ class PageInfo:
     pinned: bool = False
     #: PFN inside the owner's pseudo-physical space, if assigned.
     pfn: Optional[int] = None
-    extra: Dict[str, object] = field(default_factory=dict)
+
+    def copy(self) -> "PageInfo":
+        """An independent record with the same fields.
+
+        Every field is an immutable scalar or enum member, so a flat
+        field copy is a full copy: mutating the result never reaches
+        ``self``.
+        """
+        return PageInfo(
+            mfn=self.mfn,
+            owner=self.owner,
+            count=self.count,
+            type=self.type,
+            type_count=self.type_count,
+            validated=self.validated,
+            pinned=self.pinned,
+            pfn=self.pfn,
+        )
 
 
 #: Signature of the validation hook: ``validate(mfn, level)`` must raise
@@ -107,6 +124,20 @@ class FrameTable:
 
     def owner_of(self, mfn: int) -> Optional[int]:
         return self.info(mfn).owner
+
+    # -- checkpointing -----------------------------------------------------------
+    #
+    # Checkpoints and microreboot recovery keep a copy per capture and
+    # hand the table a fresh copy on every restore, so no record is ever
+    # shared between the live table and a saved view.
+
+    def copy_info(self) -> Dict[int, PageInfo]:
+        """A private copy of every record, for a checkpoint to keep."""
+        return {mfn: record.copy() for mfn, record in self._info.items()}
+
+    def restore_info(self, saved: Dict[int, PageInfo]) -> None:
+        """Replace every record with a private copy of ``saved``."""
+        self._info = {mfn: record.copy() for mfn, record in saved.items()}
 
     # -- general references ----------------------------------------------------
 

@@ -175,6 +175,16 @@ class MachineSnapshot:
     def changed_frames(self, machine: Machine) -> Set[int]:
         return {change.mfn for change in self.diff(machine)}
 
+    def changed_words(self, machine: Machine) -> int:
+        """``len(self.diff(machine))``, counted without building the
+        per-word :class:`WordChange` records."""
+        live = machine._frames  # noqa: SLF001
+        zero = np.zeros(WORDS_PER_PAGE, dtype=np.uint64)
+        return sum(
+            int(np.count_nonzero(self._frames.get(mfn, zero) != live.get(mfn, zero)))
+            for mfn in set(self._frames) | set(live)
+        )
+
     # ------------------------------------------------------------------
 
     def restore(self, machine: Machine) -> int:
@@ -195,7 +205,7 @@ class MachineSnapshot:
                 f"snapshot of a {self.num_frames}-frame machine cannot "
                 f"restore a {machine.num_frames}-frame machine"
             )
-        rewritten = len(self.diff(machine))
+        rewritten = self.changed_words(machine)
         machine._frames = {  # noqa: SLF001 — restore is privileged
             mfn: frame.copy() for mfn, frame in self._frames.items()
         }

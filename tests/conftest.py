@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.testbed import TestBed, build_testbed
 from repro.guest.kernel import GuestKernel
 from repro.runner.store import ResultStore
+from repro.xen.frames import PageType
 from repro.xen.hypervisor import Xen
 from repro.xen.machine import Machine
 from repro.xen.versions import XEN_4_6, XEN_4_8, XEN_4_13
@@ -78,6 +81,32 @@ def bed413() -> TestBed:
 def bed(request) -> TestBed:
     """A full testbed, parametrised over all three versions."""
     return build_testbed(request.param)
+
+
+def frame_table(bed: TestBed) -> dict:
+    """The bed's frame table as plain ``{mfn: {field: value}}`` data."""
+    return {mfn: asdict(record) for mfn, record in bed.xen.frames._info.items()}
+
+
+def churn_frames(bed: TestBed) -> None:
+    """Move the frame table the ways trials do: unpin a page-table
+    root, pin and retype other frames, take references, and grow the
+    table with a record for a frame no boot touched."""
+    frames = bed.xen.frames
+    info = frames._info
+    pinned = next(mfn for mfn, r in sorted(info.items()) if r.pinned)
+    frames.unpin(pinned)
+    owned = [
+        mfn for mfn, r in sorted(info.items())
+        if r.owner == 1 and r.type == PageType.NONE
+    ]
+    frames.pin(owned[0], PageType.L1, None)
+    frames.get_page(owned[1], 1)
+    frames.get_page_type(owned[1], PageType.WRITABLE)
+    frames.get_page(owned[2], 1)
+    untouched = bed.xen.machine.num_frames - 1
+    assert untouched not in info
+    frames.assign(untouched, 2, pfn=7)
 
 
 class CommitCountingStore(ResultStore):

@@ -6,6 +6,9 @@ Three layers of coverage:
   is an exact inverse (a hypothesis property over ≥3 consecutive
   reuses), and a corrupted checkpoint is *detected*, never silently
   used;
+* frame-table fidelity — a restored bed's frame table equals the
+  capture-time table record for record, and no record is shared
+  between the live table and the checkpoint;
 * the worker-side snapshot cache (``execute_job_cached``) — byte
   parity with the cold-boot executor, divergence eviction and
   cold-boot fallback;
@@ -15,6 +18,7 @@ Three layers of coverage:
   no-orphan-survives-parent-SIGKILL regression.
 """
 
+import copy
 import multiprocessing
 import os
 import signal
@@ -33,6 +37,7 @@ from repro.cli import main as cli_main
 from repro.core.checkpoint import CheckpointDiverged, TestbedCheckpoint
 from repro.core.fuzz import RandomErroneousStateCampaign
 from repro.core.testbed import build_testbed
+from repro.resilience import RECOVERED, RecoveryManager
 from repro.runner import (
     EventRecorder,
     ForkServerPool,
@@ -46,9 +51,10 @@ from repro.runner import (
 from repro.runner import events as ev
 from repro.runner import forkserver
 from repro.runner.forkserver import _reset_worker_cache, preferred_context
+from repro.xen.frames import PageType
 from repro.xen.snapshot import machine_digest
 from repro.xen.versions import XEN_4_13
-from tests.conftest import CommitCountingStore
+from tests.conftest import CommitCountingStore, churn_frames, frame_table
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -135,6 +141,59 @@ class TestTestbedCheckpoint:
         assert not checkpoint.verify(bed)
 
 
+class TestFrameTableFidelity:
+    def test_restored_table_equals_capture_and_fresh_boot(self):
+        campaign = RandomErroneousStateCampaign(XEN_4_13)
+        bed = build_testbed(XEN_4_13)
+        checkpoint = TestbedCheckpoint.capture(bed)
+        captured = frame_table(bed)
+        for seed in (3, 4):
+            campaign.run_trial_on(bed, campaign.components[0], seed)
+            churn_frames(bed)
+            assert frame_table(bed) != captured  # the churn really moved it
+            checkpoint.restore(bed)
+            restored = frame_table(bed)
+            assert restored.keys() == captured.keys()
+            for mfn, fields in captured.items():
+                assert restored[mfn] == fields, mfn
+        assert frame_table(build_testbed(XEN_4_13)) == captured
+
+    def test_no_record_is_shared_with_the_checkpoint(self):
+        bed = build_testbed(XEN_4_13)
+        checkpoint = TestbedCheckpoint.capture(bed)
+        captured = frame_table(bed)
+        for _ in range(2):  # capture-time records, then restored ones
+            for record in bed.xen.frames._info.values():
+                record.count += 7
+                record.type = PageType.WRITABLE
+                record.pinned = not record.pinned
+                record.owner = 99
+            checkpoint.restore(bed)
+            assert frame_table(bed) == captured
+        live = bed.xen.frames._info
+        assert all(live[mfn] is not checkpoint.frame_info[mfn] for mfn in live)
+
+    def test_hot_path_never_deep_copies(self, monkeypatch):
+        """Capture, restore and microreboot recovery copy the frame
+        table with the typed record copy, never ``copy.deepcopy``."""
+        campaign = RandomErroneousStateCampaign(XEN_4_13)
+        bed = build_testbed(XEN_4_13)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("copy.deepcopy on the checkpoint path")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(copy, "deepcopy", forbidden)
+            checkpoint = TestbedCheckpoint.capture(bed)
+            manager = RecoveryManager(bed)
+            manager.checkpoint()
+        campaign.run_trial_on(bed, campaign.components[0], seed=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(copy, "deepcopy", forbidden)
+            assert manager.recover().outcome == RECOVERED
+            assert checkpoint.restore(bed) == 0  # recovery already rolled back
+
+
 class TestExecuteJobCached:
     def setup_method(self):
         _reset_worker_cache()
@@ -194,6 +253,21 @@ class TestForkServerPool:
             + pool.stats["forkserver.captures"]
         )
         assert served == len(specs)
+        assert no_orphans()
+
+    def test_trailing_batch_done_counters_are_never_lost(self):
+        """Every worker's last ``batch-done`` frame (its restore and
+        capture counters) is accounted before ``run`` returns, however
+        the final batches land relative to each other."""
+        for round_ in range(20):
+            specs = plan_fuzz("4.13", ["idt", "m2p"], 3, 20230701 + round_)
+            pool = ForkServerPool(jobs=2, batch=1 + round_ % 3)
+            outcome = pool.run(specs)
+            assert not outcome.failures
+            served = pool.stats.get("forkserver.restores", 0) + pool.stats.get(
+                "forkserver.captures", 0
+            )
+            assert served == len(specs), (round_, pool.stats)
         assert no_orphans()
 
     def test_crash_mid_batch_salvages_streamed_results(self):

@@ -32,7 +32,10 @@ from repro.resilience import (
 from repro.runner import EventRecorder, SerialRunner, seeded_backoff
 from repro.runner import events as ev
 from repro.runner.jobs import JobSpec
+from repro.core.testbed import build_testbed
+from repro.xen.frames import PageType
 from repro.xen.versions import XEN_4_6, XEN_4_8, XEN_4_13
+from tests.conftest import churn_frames, frame_table
 
 CRASHES = (HypervisorCrash, DoubleFault)
 
@@ -85,6 +88,41 @@ class TestRecoveryManager:
         census = frame_type_census(bed48.xen)
         assert census and all(count > 0 for count in census.values())
         assert census == frame_type_census(bed48.xen)  # pure observation
+
+
+class TestRecoveryFrameTable:
+    """Reintegration restores the checkpointed frame table exactly, and
+    the checkpoint never shares a record with the live table."""
+
+    def test_recover_restores_the_checkpointed_table(self, bed46):
+        manager = RecoveryManager(bed46)
+        manager.checkpoint()
+        captured = frame_table(bed46)
+        churn_frames(bed46)
+        crash_the_hypervisor(bed46)
+        assert frame_table(bed46) != captured
+
+        assert manager.recover(offender=bed46.attacker_domain).recovered
+        restored = frame_table(bed46)
+        assert restored.keys() == captured.keys()
+        for mfn, fields in captured.items():
+            assert restored[mfn] == fields, mfn
+        assert frame_table(build_testbed(XEN_4_6)) == captured
+
+    def test_mutated_records_never_reach_the_checkpoint(self, bed46):
+        manager = RecoveryManager(bed46, max_reboots=2)
+        checkpoint = manager.checkpoint()
+        captured = frame_table(bed46)
+        for _ in range(2):  # capture-time records, then restored ones
+            for record in bed46.xen.frames._info.values():
+                record.count += 7
+                record.type = PageType.WRITABLE
+                record.pinned = not record.pinned
+                record.owner = 99
+            manager.recover()
+            assert frame_table(bed46) == captured
+        live = bed46.xen.frames._info
+        assert all(live[mfn] is not checkpoint.frame_info[mfn] for mfn in live)
 
 
 class TestCrashWatchdog:

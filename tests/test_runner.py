@@ -8,8 +8,12 @@ results.
 """
 
 import ast
+import dataclasses
+import hashlib
 import inspect
+import json
 import pathlib
+import pickle
 import resource
 import sqlite3
 import subprocess
@@ -21,6 +25,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.fuzz import FuzzCampaign, trial_seed
+from repro.core.topology import ScenarioTopology
 from repro.runner import (
     EventRecorder,
     JobSpec,
@@ -77,6 +82,77 @@ class TestJobSpec:
     def test_label_mentions_the_work(self):
         spec = JobSpec(kind="fuzz-trial", use_case="idt", version="4.13", trial=2)
         assert "idt" in spec.label and "#2" in spec.label
+
+
+def _recomputed_job_id(spec: JobSpec) -> str:
+    """The content hash, recomputed from ``asdict`` on every call."""
+    fields = dataclasses.asdict(spec)
+    fields.pop("trace_dir")
+    if not fields["metrics"]:
+        fields.pop("metrics")
+    if not fields["topology"]:
+        fields.pop("topology")
+    blob = json.dumps(fields, sort_keys=True).encode()
+    return f"{spec.kind}:{hashlib.sha1(blob).hexdigest()[:16]}"
+
+
+def _every_kind_of_spec():
+    three_guests = ScenarioTopology.paper_default(3).spec_value()
+    return [
+        *plan_campaign(["XSA-212-priv"], ["4.6"], ["exploit"]),
+        *plan_campaign(
+            ["XSA-212-priv"], ["4.13"], ["injection"], recover=True,
+            trace_dir="traces", metrics=True,
+        ),
+        *plan_campaign(["XSA-148-priv"], ["4.6"], topology=three_guests),
+        *plan_fuzz("4.13", ["idt"], 2, 20230701),
+        JobSpec(
+            kind="fuzz-trial", use_case="syn-0001", version="4.13",
+            mode="flip-bit", seed=5, trial=0, metrics=True,
+        ),
+        *plan_benchmark(["idt-integrity"], ["4.8"]),
+        *plan_testcases(["tc-1"], "4.13"),
+        selftest("ok"),
+    ]
+
+
+class TestJobIdMemo:
+    """``job_id`` is computed once per instance and changes nothing
+    observable: same value, same wire format, same equality."""
+
+    def test_every_kind_matches_the_recomputed_hash(self):
+        specs = _every_kind_of_spec()
+        assert {s.kind for s in specs} == set(jobs_module.KINDS)
+        for spec in specs:
+            assert spec.job_id == _recomputed_job_id(spec)
+            assert spec.job_id == _recomputed_job_id(spec)  # memoised read
+
+    def test_wire_format_never_carries_the_memo(self):
+        for spec in _every_kind_of_spec():
+            fresh = JobSpec.from_json(spec.to_json())
+            before = fresh.to_json()
+            assert fresh.job_id
+            assert fresh.to_json() == before
+            assert "job_id" not in json.loads(before)
+            assert dataclasses.asdict(fresh) == json.loads(before)
+
+    def test_round_trips_keep_equality_and_id(self):
+        for spec in _every_kind_of_spec():
+            unread = JobSpec.from_json(spec.to_json())
+            spec.job_id  # populate the memo on one side only
+            for twin in (
+                JobSpec.from_json(spec.to_json()),
+                pickle.loads(pickle.dumps(spec)),
+                pickle.loads(pickle.dumps(unread)),
+            ):
+                assert twin == spec == unread
+                assert hash(twin) == hash(spec) == hash(unread)
+                assert twin.job_id == spec.job_id == unread.job_id
+
+    def test_replace_never_inherits_a_stale_id(self):
+        spec = plan_fuzz("4.13", ["idt"], 1, 7)[0]
+        other = dataclasses.replace(spec, seed=spec.seed + 1)
+        assert spec.job_id != other.job_id == _recomputed_job_id(other)
 
 
 class TestPlanners:

@@ -83,11 +83,17 @@ class TestRestoreInverse:
         snapshot = MachineSnapshot.capture(machine)
         for mfn, word, value in writes:
             machine.write_word(mfn, word, value)
+        expected = len(snapshot.diff(machine))
         rewritten = snapshot.restore(machine)
+        assert rewritten == expected  # the count is the diff's length
         assert snapshot.diff(machine) == []
         assert machine.read_word(1, 1) == 42
         # the footprint never exceeds the number of distinct locations
         assert rewritten <= len({(m, w) for m, w, _v in writes})
+        # frames only the snapshot materialised count against zero
+        fresh = Machine(128)
+        expected = len(snapshot.diff(fresh))
+        assert snapshot.restore(fresh) == expected
 
     def test_restore_rewinds_the_allocator(self, machine):
         snapshot = MachineSnapshot.capture(machine)
