@@ -15,7 +15,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.xen.constants import ENTRIES_PER_TABLE, PTE_PRESENT, PTE_PSE, PTE_RW
+from repro.xen.constants import PTE_PRESENT, PTE_PSE, PTE_RW
 from repro.xen.frames import PageType
 from repro.xen.paging import pte_mfn
 
@@ -165,9 +165,8 @@ class PageTableIntegrityMonitor(Monitor):
     @staticmethod
     def _scan_l2(xen, domain, mfn) -> List[str]:
         hits = []
-        for index in range(ENTRIES_PER_TABLE):
-            entry = xen.machine.read_word(mfn, index)
-            if entry & PTE_PRESENT and entry & PTE_PSE and entry & PTE_RW:
+        for index, entry in xen.machine.entries_with(mfn, PTE_PRESENT):
+            if entry & PTE_PSE and entry & PTE_RW:
                 hits.append(
                     f"d{domain.id} L2 mfn {mfn:#06x}[{index}]: "
                     f"writable PSE superpage -> mfn {pte_mfn(entry):#06x}"
@@ -177,13 +176,8 @@ class PageTableIntegrityMonitor(Monitor):
     @staticmethod
     def _scan_l4(xen, domain, mfn) -> List[str]:
         hits = []
-        for index in range(ENTRIES_PER_TABLE):
-            entry = xen.machine.read_word(mfn, index)
-            if (
-                entry & PTE_PRESENT
-                and entry & PTE_RW
-                and pte_mfn(entry) == mfn
-            ):
+        for index, entry in xen.machine.entries_with(mfn, PTE_PRESENT):
+            if entry & PTE_RW and pte_mfn(entry) == mfn:
                 hits.append(
                     f"d{domain.id} L4 mfn {mfn:#06x}[{index}]: "
                     "writable self-mapping"
@@ -319,16 +313,10 @@ class ForeignMappingMonitor(Monitor):
             for mfn in domain.p2m:
                 if mfn is None:
                     continue
-                if xen.frames.info(mfn).type is not PageType.L1:
-                    continue
-                for index in range(ENTRIES_PER_TABLE):
-                    entry = xen.machine.read_word(mfn, index)
-                    if entry & PTE_PRESENT and pte_mfn(entry) in victim_frames:
-                        evidence.append(
-                            f"d{domain.id} ({domain.name}) L1 mfn "
-                            f"{mfn:#06x}[{index}] maps {victim.name} frame "
-                            f"{pte_mfn(entry):#06x} without a grant"
-                        )
+                if xen.frames.info(mfn).type is PageType.L1:
+                    evidence.extend(
+                        self._scan_l1(xen, domain, mfn, victim, victim_frames)
+                    )
         if not evidence:
             return ViolationReport.none()
         return ViolationReport(
@@ -337,6 +325,18 @@ class ForeignMappingMonitor(Monitor):
             evidence=evidence,
             observed_in=victim.name,
         )
+
+    @staticmethod
+    def _scan_l1(xen, domain, mfn, victim, victim_frames) -> List[str]:
+        hits = []
+        for index, entry in xen.machine.entries_with(mfn, PTE_PRESENT):
+            if pte_mfn(entry) in victim_frames:
+                hits.append(
+                    f"d{domain.id} ({domain.name}) L1 mfn "
+                    f"{mfn:#06x}[{index}] maps {victim.name} frame "
+                    f"{pte_mfn(entry):#06x} without a grant"
+                )
+        return hits
 
 
 class StrayEventMonitor(Monitor):

@@ -150,8 +150,13 @@ class StoreSchemaMismatch(RuntimeError):
         )
 
 
-def _plan_hash(job_ids: Iterable[str]) -> str:
-    digest = hashlib.sha1("\n".join(sorted(job_ids)).encode("ascii"))
+def _plan_hash(sorted_ids: Iterable[str]) -> str:
+    """sha1 of the newline-joined job IDs, which must arrive sorted."""
+    digest = hashlib.sha1()
+    separator = b""
+    for job_id in sorted_ids:
+        digest.update(separator + job_id.encode("ascii"))
+        separator = b"\n"
     return digest.hexdigest()
 
 #: Job lifecycle states.
@@ -305,9 +310,13 @@ class ResultStore:
         plan is a superset or subset of the recorded one) is fine; a
         plan that neither contains nor is contained by the recorded
         jobs is a different campaign.
+
+        A fresh store consumes ``specs`` as a stream: only a store that
+        already holds jobs needs the whole plan in memory, to guard it.
         """
-        specs = list(specs)
-        self._guard_plan(specs)
+        if self._sql("SELECT 1 FROM jobs LIMIT 1").fetchone() is not None:
+            specs = list(specs)
+            self._guard_plan(specs)
         row = self._sql("SELECT COALESCE(MAX(seq), -1) FROM jobs")
         next_seq = row.fetchone()[0] + 1
         for spec in specs:
@@ -325,12 +334,11 @@ class ResultStore:
             )
             if cur.rowcount:
                 next_seq += 1
-        registered = [
-            r[0] for r in self._sql("SELECT job_id FROM jobs")
-        ]
+        # BINARY collation orders TEXT like Python orders str.
+        registered = self._sql("SELECT job_id FROM jobs ORDER BY job_id")
         self._sql(
             "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-            (_PLAN_HASH_KEY, _plan_hash(registered)),
+            (_PLAN_HASH_KEY, _plan_hash(row[0] for row in registered)),
         )
         self._commit()
 
@@ -338,20 +346,18 @@ class ResultStore:
         existing = {
             r[0] for r in self._sql("SELECT job_id FROM jobs")
         }
-        if not existing:  # fresh store: nothing to guard against
-            return
         incoming = {spec.job_id for spec in specs}
         if existing <= incoming or incoming <= existing:
             return
         row = self._sql(
             "SELECT value FROM meta WHERE key = ?", (_PLAN_HASH_KEY,)
         ).fetchone()
-        recorded = row[0] if row is not None else _plan_hash(existing)
+        recorded = row[0] if row is not None else _plan_hash(sorted(existing))
         raise StorePlanMismatch(
             f"store {self.path!r} was created for a different campaign "
             f"plan (recorded {recorded[:12]}, current "
-            f"{_plan_hash(incoming)[:12]}); pass a fresh --store path or "
-            "resume with the original command line"
+            f"{_plan_hash(sorted(incoming))[:12]}); pass a fresh --store "
+            "path or resume with the original command line"
         )
 
     # -- state transitions ---------------------------------------------

@@ -24,9 +24,12 @@ run — and as a plain ``repro campaign`` CLI store of the same plan.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import sqlite3
+import tempfile
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.runner.jobs import JobSpec
 from repro.runner.store import FAILED, ResultStore
@@ -132,54 +135,107 @@ def compact(store_paths: Sequence[str], out_path: str) -> CompactReport:
     and a CLI ``repro campaign`` store of the same plan therefore
     compact to byte-identical files even though their planners walk
     the matrix in different orders.
+
+    The merged rows are staged in a temporary SQLite file beside the
+    output and streamed from it in job-ID order, so memory stays flat
+    however many shards the data directory holds.
     """
-    ordered_specs: List[JobSpec] = []
-    payload_of: Dict[str, dict] = {}
-    status_of: Dict[str, str] = {}
-    seen: set = set()
+    out_dir = os.path.dirname(out_path) or "."
+    os.makedirs(out_dir, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=out_dir) as scratch:
+        staged = sqlite3.connect(os.path.join(scratch, "staged.sqlite"))
+        try:
+            _stage(staged, store_paths)
+            if os.path.exists(out_path):
+                os.remove(out_path)
+            jobs, ok, failed = _write_aggregate(staged, out_path)
+        finally:
+            staged.close()
+    return CompactReport(
+        out_path=out_path,
+        sources=len(store_paths),
+        jobs=jobs,
+        ok=ok,
+        failed=failed,
+        sha256=file_sha256(out_path),
+    )
+
+
+#: Page-cache budget of the compaction connections, in KiB (SQLite's
+#: negative ``cache_size``); the default is 2 MiB each.  The cache only
+#: holds clean pages here — every row is written once, in order.
+_COMPACT_CACHE_KIB = 256
+
+
+def _cap_cache(conn: sqlite3.Connection) -> None:
+    conn.execute(f"PRAGMA cache_size = -{_COMPACT_CACHE_KIB}")
+
+
+def _stage(staged: sqlite3.Connection, store_paths: Sequence[str]) -> None:
+    """Merge every source's ``(job_id, spec, status, payload)`` rows,
+    first occurrence winning, into the staging database."""
+    _cap_cache(staged)
+    staged.execute("PRAGMA journal_mode = OFF")
+    staged.execute("PRAGMA synchronous = OFF")
+    staged.execute(
+        "CREATE TABLE staged (job_id TEXT PRIMARY KEY, spec TEXT NOT NULL,"
+        " status TEXT NOT NULL, payload TEXT)"
+    )
     for path in store_paths:
         with ResultStore(path) as source:
             statuses = source.statuses()
-            for spec in source.specs():
-                job_id = spec.job_id
-                if job_id not in seen:
-                    seen.add(job_id)
-                    ordered_specs.append(_normalize(spec))
-                    status_of[job_id] = statuses.get(job_id, "")
-                if job_id not in payload_of:
-                    payload = source.payload(job_id)
-                    if payload is not None:
-                        payload_of[job_id] = payload
+            staged.executemany(
+                "INSERT OR IGNORE INTO staged (job_id, spec, status)"
+                " VALUES (?, ?, ?)",
+                (
+                    (spec.job_id, _normalize(spec).to_json(),
+                     statuses.get(spec.job_id, ""))
+                    for spec in source.specs()
+                ),
+            )
+            # A job's first recorded payload wins, even when an earlier
+            # shard registered the job without completing it.
+            staged.executemany(
+                "UPDATE staged SET payload = ?"
+                " WHERE job_id = ? AND payload IS NULL",
+                (
+                    (json.dumps(payload), spec.job_id)
+                    for spec, payload in source.payloads()
+                ),
+            )
+        staged.commit()
 
-    ordered_specs.sort(key=lambda spec: spec.job_id)
 
-    if os.path.exists(out_path):
-        os.remove(out_path)
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+def _write_aggregate(
+    staged: sqlite3.Connection, out_path: str
+) -> Tuple[int, int, int]:
+    """Build the aggregate from the staged rows; ``(jobs, ok, failed)``."""
     ok = failed = 0
     with ResultStore(out_path, clock=lambda: 0.0) as out:
-        out.register(ordered_specs)
-        for spec in ordered_specs:
-            job_id = spec.job_id
-            payload = payload_of.get(job_id)
+        _cap_cache(out._conn)  # noqa: SLF001
+        out.register(
+            JobSpec.from_json(spec)
+            for (spec,) in staged.execute(
+                "SELECT spec FROM staged ORDER BY job_id"
+            )
+        )
+        rows = staged.execute(
+            "SELECT job_id, status, payload FROM staged ORDER BY job_id"
+        )
+        jobs = 0
+        for job_id, status, payload in rows:
+            jobs += 1
             if payload is not None:
-                out.record_success(job_id, payload, wall_time=None)
+                out.record_success(job_id, json.loads(payload), wall_time=None)
                 ok += 1
-            elif status_of.get(job_id) == FAILED:
+            elif status == FAILED:
                 out.record_failure(job_id)
                 failed += 1
             # One commit per recorded job (a no-op for unrecorded ones):
             # SQLite's header counts commits, so this cadence is part of
             # the file's bytes and of every archived sha256.
             out.flush()
-    return CompactReport(
-        out_path=out_path,
-        sources=len(store_paths),
-        jobs=len(ordered_specs),
-        ok=ok,
-        failed=failed,
-        sha256=file_sha256(out_path),
-    )
+    return jobs, ok, failed
 
 
 def compact_data_dir(

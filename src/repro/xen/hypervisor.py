@@ -37,7 +37,7 @@ from repro.xen.granttable import GrantTableSubsystem
 from repro.xen.hypercalls import HypercallTable
 from repro.xen.idt import IDT
 from repro.xen.machine import Machine
-from repro.xen.paging import make_special_pte, pte_mfn, pte_present
+from repro.xen.paging import make_special_pte, pte_mfn
 from repro.xen.payload import Payload, XenStub
 from repro.xen.validation import PageTableValidation
 from repro.xen.versions import Hardening, XenVersion
@@ -444,9 +444,10 @@ class Xen:
             info = self.frames.info(mfn)
             if info.type is not PageType.L1:
                 continue
-            for index in range(C.ENTRIES_PER_TABLE):
-                entry = self.machine.read_word(mfn, index)
-                if pte_present(entry) and pte_mfn(entry) == target_mfn:
+            # Clearing entry i never changes entry j > i, so the entries
+            # read before the first write are the ones a lazy scan sees.
+            for index, entry in self.machine.entries_with(mfn, C.PTE_PRESENT):
+                if pte_mfn(entry) == target_mfn:
                     self.machine.write_word(mfn, index, 0)
 
     def unchecked_copy_to_guest(self, domain: Domain, va: int, value: int) -> None:

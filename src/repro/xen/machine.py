@@ -136,6 +136,23 @@ class Machine:
         frame[index] = value & _WORD_MASK
         self._blobs.pop((mfn, index), None)
 
+    def entries_with(self, mfn: int, mask: int) -> List[Tuple[int, int]]:
+        """``(index, value)`` of every word of frame ``mfn`` that has any
+        bit of ``mask`` set, in index order, from one vectorised pass.
+
+        Equal to filtering ``read_word(mfn, i)`` over every index: an
+        unmaterialised frame yields nothing, and an out-of-range ``mfn``
+        raises :class:`MachineError` from :meth:`check_mfn`.  The words
+        are read when called, so a caller that writes the frame while
+        iterating sees the values from before its writes.
+        """
+        frame = self._frames.get(mfn)
+        if frame is None:
+            self.check_mfn(mfn)
+            return []
+        hits = np.flatnonzero(frame & np.uint64(mask & _WORD_MASK))
+        return list(zip(hits.tolist(), frame[hits].tolist()))
+
     def read_words(self, mfn: int, start: int, count: int) -> List[int]:
         return [self.read_word(mfn, start + i) for i in range(count)]
 

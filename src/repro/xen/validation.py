@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Set
 from repro.errors import EINVAL, EPERM, HypercallError
 from repro.xen.constants import (
     DOMID_XEN,
-    ENTRIES_PER_TABLE,
     PTE_PRESENT,
     PTE_PSE,
     PTE_RW,
@@ -73,7 +72,13 @@ class PageTableValidation:
 
         Takes one typed reference per present intermediate entry; on
         failure, the references already taken are rolled back so the
-        table ends exactly as it started."""
+        table ends exactly as it started.
+
+        Only present entries are visited (a non-present entry is legal
+        and holds no reference), in index order.  They are read up
+        front: validation never writes the table it scans — the nested
+        validations it triggers only touch frame-table records — so
+        this equals reading each entry when it is reached."""
         point = self._p_pt_validate
         if point.subs:
             point.fire(domain.id, mfn, level)
@@ -84,8 +89,7 @@ class PageTableValidation:
         self._validating.add(mfn)
         taken: list = []
         try:
-            for index in range(ENTRIES_PER_TABLE):
-                entry = self.xen.machine.read_word(mfn, index)
+            for _, entry in self.xen.machine.entries_with(mfn, PTE_PRESENT):
                 self.validate_entry(domain, level, entry, table_mfn=mfn)
                 if self.entry_takes_ref(level, entry, mfn):
                     taken.append(entry)
@@ -169,11 +173,14 @@ class PageTableValidation:
             self.release_table(child, level - 1)
 
     def release_table(self, mfn: int, level: int) -> None:
-        """Put the child references held by a table being torn down."""
+        """Put the child references held by a table being torn down.
+
+        Like :meth:`validate_table`, this scans the present entries in
+        index order, read up front: releasing references never writes
+        page-table memory."""
         if level < 2:
             return
-        for index in range(ENTRIES_PER_TABLE):
-            entry = self.xen.machine.read_word(mfn, index)
+        for _, entry in self.xen.machine.entries_with(mfn, PTE_PRESENT):
             if self.entry_takes_ref(level, entry, mfn):
                 self.put_entry_ref(level, entry)
 

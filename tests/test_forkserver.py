@@ -27,6 +27,7 @@ import sys
 import textwrap
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -268,6 +269,36 @@ class TestForkServerPool:
                 "forkserver.captures", 0
             )
             assert served == len(specs), (round_, pool.stats)
+        assert no_orphans()
+
+    def test_recycled_workers_account_every_batch(self):
+        """A worker marked retiring while its next batch already runs is
+        replaced only after that batch's own ``batch-done``: no counters
+        are lost, and every worker that served ``recycle_after`` trials
+        is recycled exactly once."""
+        for round_ in range(24):
+            recycle_after = 2 + round_ % 3
+            specs = plan_fuzz("4.13", ["idt", "m2p"], 5, 20231101 + round_)
+            recorder = EventRecorder()
+            pool = ForkServerPool(
+                jobs=2, batch=2 + round_ % 2, recycle_after=recycle_after,
+                on_event=recorder,
+            )
+            outcome = pool.run(specs)
+            assert not outcome.failures
+            served = pool.stats.get("forkserver.restores", 0) + pool.stats.get(
+                "forkserver.captures", 0
+            )
+            assert served == len(specs), (round_, pool.stats)
+            per_worker = Counter(
+                event.worker for event in recorder.events
+                if event.kind == ev.JOB_FINISHED
+            )
+            expected = sum(n >= recycle_after for n in per_worker.values())
+            assert expected > 0
+            recycled = pool.stats.get("forkserver.workers.recycled", 0)
+            assert recycled == expected, (round_, per_worker, pool.stats)
+            assert recorder.kinds().count(ev.WORKER_RECYCLED) == expected
         assert no_orphans()
 
     def test_crash_mid_batch_salvages_streamed_results(self):

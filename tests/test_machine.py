@@ -174,6 +174,51 @@ class TestScanning:
         assert machine.find_word(0) == (0, 0)
 
 
+class TestEntriesWith:
+    def test_unmaterialised_frame_yields_nothing(self, machine):
+        assert machine.entries_with(5, 1) == []
+
+    def test_out_of_range_mfn_raises_like_read_word(self, machine):
+        for mfn in (machine.num_frames, -1):
+            with pytest.raises(MachineError) as scanned:
+                machine.entries_with(mfn, 1)
+            with pytest.raises(MachineError) as read:
+                machine.read_word(mfn, 0)
+            assert str(scanned.value) == str(read.value)
+
+    def test_index_order_and_full_width_values(self, machine):
+        machine.write_word(2, 300, (1 << 64) - 1)
+        machine.write_word(2, 4, 0x1001)
+        machine.write_word(2, 9, 0x1000)  # bit 0 clear: not selected
+        scanned = machine.entries_with(2, 1)
+        assert scanned == [(4, 0x1001), (300, (1 << 64) - 1)]
+        assert {type(x) for pair in scanned for x in pair} == {int}
+
+    def test_blob_marker_words_are_seen(self, machine):
+        machine.attach_blob(3, 7, "payload")
+        assert machine.entries_with(3, BLOB_MARKER) == [(7, BLOB_MARKER)]
+
+    @given(
+        words=st.dictionaries(
+            st.integers(min_value=0, max_value=WORDS_PER_PAGE - 1),
+            st.integers(min_value=0, max_value=(1 << 64) - 1),
+            max_size=24,
+        ),
+        mask=st.integers(min_value=1, max_value=(1 << 64) - 1),
+    )
+    @settings(max_examples=60)
+    def test_equals_filtered_read_word(self, words, mask):
+        machine = Machine(4)
+        for index, value in words.items():
+            machine.write_word(1, index, value)
+        expected = [
+            (index, machine.read_word(1, index))
+            for index in range(WORDS_PER_PAGE)
+            if machine.read_word(1, index) & mask
+        ]
+        assert machine.entries_with(1, mask) == expected
+
+
 class TestMachineProperties:
     @given(
         mfn=st.integers(min_value=0, max_value=511),

@@ -19,6 +19,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -330,6 +331,35 @@ class TestCompaction:
         assert not outcome.failures
         report = shards.compact([path], str(tmp_path / "compacted.sqlite"))
         assert report.sha256 == self.PINNED_FUZZ_SHA256
+
+    def test_compaction_memory_does_not_grow_with_the_data_dir(self, tmp_path):
+        """Compaction streams merged rows through a staging file, so 4x
+        the shards (and jobs) must not take 1.5x the heap peak."""
+        payload = {f"field_{i}": "x" * 24 for i in range(32)}
+
+        def compaction_peak(shard_count):
+            data_dir = str(tmp_path / f"d{shard_count}")
+            for i in range(shard_count):
+                path = shards.shard_store_path(data_dir, "a", f"c-{i:04d}")
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                specs = plan_fuzz("4.13", ["idt", "m2p"], 12, 1000 + i)
+                with ResultStore(path) as store:
+                    store.register(specs)
+                    for spec in specs:
+                        store.record_success(
+                            spec.job_id, dict(payload, job=spec.job_id), 0.1
+                        )
+            tracemalloc.start()
+            try:
+                report = compact_data_dir(data_dir)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.ok == report.jobs == 24 * shard_count
+            return peak
+
+        small, large = compaction_peak(8), compaction_peak(32)
+        assert large < 1.5 * small, (small, large)
 
     def test_trace_dir_is_normalized_out(self, tmp_path):
         from dataclasses import replace
