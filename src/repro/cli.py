@@ -63,7 +63,7 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--recycle-after", type=int, default=256, metavar="N",
-        help="recycle a fork-server worker after serving N trials",
+        help="recycle a pool worker after serving N jobs",
     )
     group.add_argument(
         "--heartbeat-timeout", type=float, default=30.0, metavar="SECONDS",

@@ -49,7 +49,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.runner.forkserver import ForkServerPool, execute_job_cached
+from repro.runner.forkserver import execute_job_cached
 from repro.runner.jobs import CAMPAIGN_RUN, JobSpec, execute_job
 from repro.runner.pool import JobFn, SerialRunner, WorkerPool
 from repro.runner.store import ResultStore, StoreCorrupt
@@ -173,33 +173,12 @@ class ChaosOutbox:
             self._inner.put(message)
 
 
-class ChaosPool(WorkerPool):
-    """A :class:`WorkerPool` whose workers and transport misbehave."""
-
-    def __init__(
-        self,
-        plan: ChaosPlan,
-        episode: int = 1,
-        base_job_fn: JobFn = execute_job,
-        **kwargs,
-    ):
-        kwargs.setdefault(
-            "job_fn", ChaosJobFn(plan=plan, episode=episode, job_fn=base_job_fn)
-        )
-        super().__init__(**kwargs)
-        self.plan = plan
-        self.episode = episode
-
-    def _wrap_outbox(self, channel):
-        return ChaosOutbox(channel, self.plan, self.episode)
-
-
 @dataclass
 class ForkChaos:
     """Worker-side snapshot-cache fault injector (fork-server mode).
 
     A picklable dataclass handed to workers through
-    :meth:`~repro.runner.forkserver.ForkServerPool._restore_chaos`; it
+    :meth:`~repro.runner.pool.WorkerPool._restore_chaos`; it
     runs immediately before each cached checkpoint restore.  Faults
     fire on first attempts only, like :class:`ChaosJobFn`'s:
 
@@ -229,20 +208,20 @@ class ForkChaos:
             time.sleep(self.plan.hang_seconds)
 
 
-class ChaosForkPool(ForkServerPool):
-    """A :class:`ForkServerPool` under the full chaos fault set.
+class ChaosPool(WorkerPool):
+    """A :class:`WorkerPool` under the full chaos fault set.
 
-    Workers still get killed and hung mid-batch through
-    :class:`ChaosJobFn` and the transport still duplicates and delays
-    through :class:`ChaosOutbox`; on top, the snapshot cache itself
-    misbehaves through :class:`ForkChaos`.
+    Workers get killed and hung mid-job through :class:`ChaosJobFn`,
+    the transport duplicates and delays through :class:`ChaosOutbox`,
+    and the snapshot cache misbehaves through :class:`ForkChaos` (only
+    the fork-server configuration's cached job function restores).
     """
 
     def __init__(
         self,
         plan: ChaosPlan,
         episode: int = 1,
-        base_job_fn: JobFn = execute_job_cached,
+        base_job_fn: JobFn = execute_job,
         **kwargs,
     ):
         kwargs.setdefault(
@@ -410,8 +389,8 @@ def run_chaos_campaign(
     in-episode retries, so recovery always flows through the store's
     resume path, the property under test.
 
-    ``pool_mode="fork-server"`` runs the episodes on a
-    :class:`ChaosForkPool` instead: the same kill/hang/dup/delay/tear
+    ``pool_mode="fork-server"`` runs the episodes in the pool's
+    fork-server configuration instead: the same kill/hang/dup/delay/tear
     fault set, plus snapshot-cache corruption and restore wedges (the
     plan's ``corrupt_rate``/``wedge_rate``, bumped to a quarter each
     when the caller left them at zero).  The invariant is unchanged —
@@ -429,12 +408,13 @@ def run_chaos_campaign(
         )
     specs = list(specs)
     plan = plan or ChaosPlan(seed=seed, hang_seconds=max(timeout * 3, 1.0))
-    if (
-        pool_mode == "fork-server"
-        and plan.corrupt_rate == 0.0
-        and plan.wedge_rate == 0.0
-    ):
-        plan = replace(plan, corrupt_rate=0.25, wedge_rate=0.25)
+    fork_server = pool_mode == "fork-server"
+    pool_job_fn = base_job_fn
+    if fork_server:
+        if base_job_fn is execute_job:
+            pool_job_fn = execute_job_cached
+        if plan.corrupt_rate == 0.0 and plan.wedge_rate == 0.0:
+            plan = replace(plan, corrupt_rate=0.25, wedge_rate=0.25)
     report = ChaosReport(seed=seed, total_jobs=len(specs))
 
     serial_trace_dir = chaos_trace_dir = None
@@ -467,30 +447,16 @@ def run_chaos_campaign(
         # misbehaves — this is the "known-good copy" a torn store is
         # restored from.
         shutil.copyfile(store_path, good_copy)
-        if pool_mode == "fork-server":
-            pool: WorkerPool = ChaosForkPool(
-                plan=plan,
-                episode=episode,
-                base_job_fn=(
-                    execute_job_cached
-                    if base_job_fn is execute_job
-                    else base_job_fn
-                ),
-                jobs=jobs,
-                timeout=timeout,
-                retries=0,
-                on_event=on_event,
-            )
-        else:
-            pool = ChaosPool(
-                plan=plan,
-                episode=episode,
-                base_job_fn=base_job_fn,
-                jobs=jobs,
-                timeout=timeout,
-                retries=0,
-                on_event=on_event,
-            )
+        pool = ChaosPool(
+            plan=plan,
+            episode=episode,
+            base_job_fn=pool_job_fn,
+            fork_server=fork_server,
+            jobs=jobs,
+            timeout=timeout,
+            retries=0,
+            on_event=on_event,
+        )
         try:
             pool.run(specs, store=store)
             planned_kills = sum(
@@ -499,7 +465,7 @@ def run_chaos_campaign(
             report.faults["kills"] = (
                 report.faults.get("kills", 0) + planned_kills
             )
-            if pool_mode == "fork-server":
+            if fork_server:
                 for name, decide in (
                     ("corrupts", plan.corrupts),
                     ("wedges", plan.wedges),

@@ -1,10 +1,11 @@
 """``repro.runner`` — parallel, fault-tolerant, resumable campaigns.
 
 The execution engine behind ``--jobs N``: experiments become
-serializable :class:`JobSpec` jobs, a ``spawn``-based
-:class:`WorkerPool` runs them with per-job timeouts, crash isolation
-and bounded retry, a SQLite :class:`ResultStore` makes campaigns
-resumable (``--resume``), and :class:`RunnerEvent` streams progress.
+serializable :class:`JobSpec` jobs, a :class:`WorkerPool` (spawn or
+fork-server configuration) runs them with per-job timeouts, crash
+isolation and bounded retry, a SQLite :class:`ResultStore` makes
+campaigns resumable (``--resume``), and :class:`RunnerEvent` streams
+progress.
 """
 
 from repro.runner.events import (

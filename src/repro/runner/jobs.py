@@ -237,6 +237,7 @@ def plan_testcases(names: Sequence[str], version: str) -> List[JobSpec]:
 #: them once, so each worker forks with them already loaded.  Keep it
 #: in step with the imports in the ``_execute_*`` functions below.
 WORKER_PRELOAD = (
+    "repro.runner.forkserver",
     "repro.runner.pool",
     "repro.runner.jobs",
     "repro.analysis.report",

@@ -1,23 +1,30 @@
 """Parallel, fault-tolerant job execution.
 
 :class:`WorkerPool` runs :class:`~repro.runner.jobs.JobSpec` lists on
-a pool of ``multiprocessing`` workers.  Workers start through the
-stdlib ``forkserver`` method (every POSIX platform offers it, and the
-package imports only there — :mod:`resource` is Unix-only): one
-single-threaded server process, booted lazily by the first pool,
-imports :data:`~repro.runner.jobs.WORKER_PRELOAD` once, and every
-later worker of every campaign is a fork of that server rather than a
-fresh interpreter boot.  A worker therefore starts in the server's
-post-preload state and inherits no parent state: a module global the
-parent changed is unchanged in the worker, as under ``spawn``, and
-the multi-threaded service can start workers safely, unlike with
-``fork``.  Each worker still gets the parent's current ``sys.path``
-and working directory through the preparation data, but the
-*environment* is the one the server had when it started — nothing in
-the package or its tests reads environment variables or changes
-directory, so the frozen ``os.environ`` is never observable.  Workers
-boot their own testbeds.  The parent owns all scheduling state and
-the result store; workers only ever see one job at a time, which buys
+a pool of ``multiprocessing`` workers, in one of two configurations:
+
+* **spawn** (the default) — workers start through the stdlib
+  ``forkserver`` method (every POSIX platform offers it, and the
+  package imports only there — :mod:`resource` is Unix-only): one
+  single-threaded server process, booted lazily by the first pool,
+  imports :data:`~repro.runner.jobs.WORKER_PRELOAD` once, and every
+  later worker of every campaign is a fork of that server rather than
+  a fresh interpreter boot.  A worker therefore starts in the server's
+  post-preload state and inherits no parent state: a module global the
+  parent changed is unchanged in the worker, as under ``spawn``, and
+  the multi-threaded service can start workers safely, unlike with
+  ``fork``.  Each worker still gets the parent's current ``sys.path``
+  and working directory through the preparation data, but the
+  *environment* is the one the server had when it started — nothing in
+  the package or its tests reads environment variables or changes
+  directory, so the frozen ``os.environ`` is never observable.  Workers
+  take one job per dispatch and boot a fresh testbed for each.
+* **fork-server** (``fork_server=True``, see
+  :mod:`repro.runner.forkserver`) — workers fork from this process,
+  take jobs in batches and serve classic fuzz trials from a
+  digest-verified snapshot cache.
+
+The parent owns all scheduling state and the result store, which buys
 properties the serial campaign loop cannot offer:
 
 * **timeout enforcement** — a job exceeding its wall-clock budget gets
@@ -33,7 +40,10 @@ properties the serial campaign loop cannot offer:
 * **poison quarantine** — a job that keeps killing its workers is
   quarantined instead of taking the pool down attempt after attempt;
 * **circuit breaking** — too many *consecutive* worker deaths (an
-  environment-level problem, not a bad job) halts the campaign;
+  environment-level problem, not a bad job) halts the campaign, or
+  degrades a fork-server run to the spawn configuration;
+* **recycling** — a worker is replaced after ``recycle_after`` jobs or
+  unbounded RSS growth;
 * **graceful interruption** — SIGINT/SIGTERM stop dispatch, flush the
   store, and leave it resumable instead of dying mid-write.
 
@@ -51,12 +61,12 @@ import multiprocessing.forkserver
 import os
 import pickle
 import signal
-import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.probes.metrics import MetricsCollector
 from repro.resilience.quarantine import CircuitBreaker, PoisonTracker
 from repro.runner import events as ev
 from repro.runner.backoff import seeded_backoff
@@ -330,12 +340,22 @@ _LIVE_WORKERS: "weakref.WeakSet" = weakref.WeakSet()
 #: heartbeat" just reboots the same slow path.
 _BOOT_GRACE = 30.0
 #: How long teardown waits for workers to exit after their sentinel
-#: (and the fork-server for trailing batch acknowledgements).
+#: (and for trailing batch acknowledgements).
 _SHUTDOWN_GRACE = 5.0
+
+#: Jobs shipped to a fork-server worker per dispatch.
+DEFAULT_BATCH = 8
+#: Jobs a worker serves before it is recycled.
+DEFAULT_RECYCLE_AFTER = 256
+#: Peak-RSS growth over a worker's first batch (KiB) that triggers
+#: recycling — a leaking worker is parked before it hurts the host.
+_MAX_RSS_GROWTH_KB = 262144
+#: Longest the scheduler blocks waiting for worker messages.
+_POLL_INTERVAL = 0.05
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
-    """The start context for :class:`WorkerPool` workers.
+    """The start context for spawn-configuration workers.
 
     ``forkserver``, preloading :data:`~repro.runner.jobs.WORKER_PRELOAD`.
     The server starts lazily with the first worker and serves every
@@ -345,16 +365,6 @@ def pool_context() -> multiprocessing.context.BaseContext:
     context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload(list(WORKER_PRELOAD))
     return context
-
-
-def _liveness_grace(steady: float, worker: "_Worker") -> float:
-    """Heartbeat allowance for one worker, shared by both pools.
-
-    A still-booting interpreter has not started its beat thread yet;
-    give it the boot allowance, not the (often much tighter)
-    steady-state grace.
-    """
-    return steady if worker.ready else max(steady, _BOOT_GRACE)
 
 
 def _reap_orphans() -> None:
@@ -402,67 +412,17 @@ class _ResultChannel:
             view = view[os.write(fd, view):]
 
 
-def _worker_main(
-    worker_id: int,
-    job_fn: JobFn,
-    inbox,
-    outbox,
-    heartbeat=None,
-    beat_interval: float = 0.2,
-) -> None:
-    """Worker loop: take one job, run it, report, repeat until sentinel."""
-    if heartbeat is not None:
-        def _beat() -> None:
-            while True:
-                heartbeat.value = time.monotonic()
-                time.sleep(beat_interval)
-
-        threading.Thread(
-            target=_beat, daemon=True, name="repro-heartbeat"
-        ).start()
-    try:
-        # Interpreter bootstrap can dwarf a tight job budget on a
-        # loaded machine; this tells the parent to start the clock now.
-        outbox.put((worker_id, None, "ready", None, False, 0.0))
-    except OSError:
-        return
-    while True:
-        try:
-            item = inbox.recv()
-        except EOFError:
-            return  # the parent closed our inbox: shut down
-        if item is None:
-            return
-        spec_json, attempt = item
-        spec = JobSpec.from_json(spec_json)
-        started = time.perf_counter()
-        status, retryable = "done", False
-        try:
-            payload = job_fn(spec, attempt)
-        except TransientJobError as exc:
-            status, payload, retryable = "error", str(exc), True
-        except BaseException as exc:  # noqa: BLE001 - isolation boundary
-            status, payload = "error", f"{type(exc).__name__}: {exc}"
-        wall = time.perf_counter() - started
-        try:
-            outbox.put(
-                (worker_id, spec.job_id, status, payload, retryable, wall)
-            )
-        except OSError:
-            return  # the parent is gone; nobody is listening
-
-
 @dataclass
 class _Worker:
     """Parent-side handle for one worker process."""
 
     worker_id: int
     process: multiprocessing.process.BaseProcess
-    inbox: Any  # Connection: parent sends (spec, attempt) / None sentinel
+    inbox: Any  # Connection: parent sends a batch of (spec, attempt) / None
     conn: Any = None  # Connection: parent end of the worker's result pipe
     heartbeat: Any = None  # multiprocessing.Value("d") the worker beats
-    spec: Optional[JobSpec] = None
-    attempt: int = 0
+    #: When the member now executing was handed over: the batch's
+    #: dispatch, the worker's ready frame, or the previous member's ack.
     started_at: float = 0.0
     buffer: bytearray = field(default_factory=bytearray)
     eof: bool = False
@@ -471,10 +431,32 @@ class _Worker:
     #: loaded machine can take longer to boot the forkserver's
     #: interpreter on first use than a tight job budget allows.
     ready: bool = False
+    #: The in-flight batch, as (spec, attempt) pairs; results stream
+    #: back in batch order, so ``batch[acked]`` is always the member
+    #: currently executing.
+    batch: List[Tuple[JobSpec, int]] = field(default_factory=list)
+    acked: int = 0
+    #: Jobs served over this worker's whole lifetime.
+    served: int = 0
+    #: Peak RSS (KiB) after the worker's first batch — the baseline
+    #: RSS-growth recycling measures against.
+    baseline_rss: int = 0
+    #: Highest infra/batch-done sequence number seen, for dropping
+    #: chaos-duplicated control messages.
+    infra_seq: int = 0
+    #: Batches sent to the worker, and ``batch-done`` frames received
+    #: back; equal once every batch's counters have been accounted.
+    batches_sent: int = 0
+    batches_done: int = 0
+    retiring: bool = False
+    recycle_reason: str = ""
 
     @property
     def busy(self) -> bool:
-        return self.spec is not None
+        return self.acked < len(self.batch)
+
+    def current(self) -> Tuple[JobSpec, int]:
+        return self.batch[self.acked]
 
     def last_seen(self) -> float:
         """Most recent proof of life, on the parent's monotonic clock."""
@@ -499,7 +481,27 @@ class _Worker:
 
 
 class WorkerPool:
-    """Multiprocessing campaign executor with fault isolation."""
+    """Multiprocessing campaign executor with fault isolation.
+
+    One pool, two configurations, selected by ``fork_server``:
+
+    * **spawn** (the default): workers fork from the preloaded stdlib
+      ``forkserver`` (:func:`pool_context`), take one job per dispatch
+      and run :func:`~repro.runner.jobs.execute_job` on a fresh testbed;
+    * **fork-server**: workers fork from this process (the ``fork``
+      context), take ``batch`` jobs per dispatch and run
+      :func:`~repro.runner.forkserver.execute_job_cached`, which serves
+      classic fuzz trials from a digest-verified snapshot cache.
+
+    Both run the same loop: the same worker main, timeout, liveness,
+    crash and recycling checks.  When the circuit breaker opens in the
+    fork-server configuration the pool *degrades* — same pool, cache
+    off: the run switches to the spawn configuration and continues over
+    the leftover jobs in plan order, with a fresh breaker and poison
+    tracker.  A circuit that opens in the spawn configuration fails
+    everything left.  An explicit ``job_fn`` is used in both
+    configurations.
+    """
 
     def __init__(
         self,
@@ -508,16 +510,22 @@ class WorkerPool:
         retries: int = 1,
         backoff: float = 0.05,
         max_backoff: float = 5.0,
-        job_fn: JobFn = execute_job,
+        job_fn: Optional[JobFn] = None,
         on_event: Optional[EventCallback] = None,
-        poll_interval: float = 0.05,
         poison_threshold: int = 3,
         circuit_threshold: int = 8,
         liveness_grace: Optional[float] = 30.0,
         beat_interval: float = 0.2,
+        fork_server: bool = False,
+        batch: int = DEFAULT_BATCH,
+        recycle_after: int = DEFAULT_RECYCLE_AFTER,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if batch < 1:
+            raise ValueError("batch must be >= 1")
+        if recycle_after < 1:
+            raise ValueError("recycle_after must be >= 1")
         self.jobs = jobs
         self.timeout = timeout
         self.retries = retries
@@ -525,12 +533,21 @@ class WorkerPool:
         self.max_backoff = max_backoff
         self.job_fn = job_fn
         self.on_event = on_event
-        self.poll_interval = poll_interval
         self.poison_threshold = poison_threshold
         self.circuit_threshold = circuit_threshold
         self.liveness_grace = liveness_grace
         self.beat_interval = beat_interval
-        self._ctx = pool_context()
+        self.fork_server = fork_server
+        self.batch = batch
+        self.recycle_after = recycle_after
+        #: Infrastructure metrics sink (restores, divergences, cold
+        #: boots, recycles).  Kept separate from any per-trial
+        #: collector: these counters describe execution machinery and
+        #: must never leak into persisted trial results.
+        self.metrics = MetricsCollector()
+        #: Plain-dict mirror of the last run's infra counters.
+        self.stats: Dict[str, int] = {}
+        self._configure(fork_server)
         self._poison = PoisonTracker(poison_threshold)
         self._circuit = CircuitBreaker(circuit_threshold)
         self._halted = ""
@@ -541,6 +558,23 @@ class WorkerPool:
         :meth:`SerialRunner.request_stop`).  In-flight jobs are
         abandoned un-acked, so ``--resume`` re-runs them exactly."""
         self._stop_requested = True
+
+    # -- hooks ----------------------------------------------------------
+
+    def _wrap_outbox(self, channel):
+        """Per-worker result-channel hook — the chaos harness wraps it."""
+        return channel
+
+    def _restore_chaos(self) -> Optional[Any]:
+        """Worker-side restore fault injector — chaos harness hook.
+
+        Must return a picklable object with a
+        ``before_restore(entry, job_id, attempt)`` method (or None).
+        It runs in the worker immediately before each cached restore,
+        which is where the chaos harness corrupts snapshot bytes and
+        wedges restores.
+        """
+        return None
 
     # -- public API -----------------------------------------------------
 
@@ -554,67 +588,124 @@ class WorkerPool:
         for spec in specs:  # plan order, not set order: deterministic events
             if spec.job_id in outcome.skipped:
                 hub.emit(ev.JOB_SKIPPED, job_id=spec.job_id)
-        if not remaining:
-            hub.emit(ev.CAMPAIGN_FINISHED)
-            return outcome
-
-        self._poison = PoisonTracker(self.poison_threshold)
-        self._circuit = CircuitBreaker(self.circuit_threshold)
-        self._halted = ""
-
-        #: (ready_time, spec, attempt) — backoff delays re-dispatch.
-        pending: List[tuple] = [(0.0, spec, 0) for spec in remaining]
-        workers: Dict[int, _Worker] = {}
-        next_worker_id = 0
-
-        abandoned: List[tuple] = []
-        try:
-            # The guard goes up before the first worker exists, so an
-            # interrupt during spawn is already a graceful shutdown.
-            with _SignalGuard() as guard:
-                for _ in range(min(self.jobs, len(pending))):
-                    workers[next_worker_id] = self._spawn(next_worker_id)
-                    next_worker_id += 1
-                while pending or any(w.busy for w in workers.values()):
-                    if guard.tripped or self._halted or self._stop_requested:
-                        break
-                    self._assign(pending, workers, store, hub)
-                    self._drain(workers, pending, outcome, store, hub)
-                    self._check_timeouts(workers, pending, outcome, store, hub)
-                    self._check_liveness(workers, pending, outcome, store, hub)
-                    self._check_crashes(workers, pending, outcome, store, hub)
-                    next_worker_id = self._replenish(
-                        workers, pending, next_worker_id
-                    )
+        self.stats = {}
+        fork_server = self.fork_server
+        # The guard goes up before the first worker exists, so an
+        # interrupt during spawn is already a graceful shutdown.
+        with _SignalGuard() as guard:
+            while remaining:
+                leftovers = self._run_pass(
+                    remaining, fork_server, guard, outcome, store, hub
+                )
                 if guard.tripped or self._stop_requested:
                     outcome.interrupted = True
                     outcome.interrupt_signal = (
                         guard.describe() or "stop-requested"
                     )
-                abandoned = [
-                    (w.spec, w.attempt) for w in workers.values() if w.busy
+                    break
+                if not self._halted:
+                    break
+                if not fork_server:
+                    self._fail_remaining(
+                        leftovers, outcome, store, hub, self._halted
+                    )
+                    break
+                unfinished = {spec.job_id for spec, _attempt in leftovers}
+                remaining = [
+                    spec for spec in specs
+                    if spec.job_id in unfinished
+                    and spec.job_id not in outcome.results
+                    and spec.job_id not in outcome.failures
                 ]
-        finally:
-            self._shutdown(workers)
+                hub.emit(
+                    ev.POOL_DEGRADED,
+                    detail=(
+                        f"{self._halted}; degrading {len(remaining)} job(s) "
+                        "to the spawn-per-job pool"
+                    ),
+                )
+                self._count("forkserver.degraded")
+                fork_server = False
 
         if outcome.interrupted:
             hub.emit(ev.CAMPAIGN_INTERRUPTED, detail=outcome.interrupt_signal)
-        elif self._halted:
-            self._fail_remaining(
-                pending, abandoned, outcome, store, hub, self._halted
-            )
         if store is not None:
             store.flush()
         hub.emit(ev.CAMPAIGN_FINISHED)
         return outcome
 
+    # -- configuration and accounting ----------------------------------
+
+    def _configure(self, fork_server: bool) -> None:
+        """Select the start context, batch size and job function."""
+        from repro.runner.forkserver import (
+            execute_job_cached,
+            preferred_context,
+        )
+
+        if fork_server:
+            self._ctx = multiprocessing.get_context(preferred_context())
+            self._batch = self.batch
+            self._job_fn = self.job_fn or execute_job_cached
+        else:
+            self._ctx = pool_context()
+            self._batch = 1
+            self._job_fn = self.job_fn or execute_job
+
+    def _count(self, key: str, n: int = 1) -> None:
+        self.stats[key] = self.stats.get(key, 0) + n
+        self.metrics.count(key, n)
+
     # -- scheduling internals ------------------------------------------
 
-    def _wrap_outbox(self, channel):
-        """Per-worker result-channel hook — the chaos harness wraps it."""
-        return channel
+    def _run_pass(
+        self, specs, fork_server, guard, outcome, store, hub
+    ) -> List[Tuple[JobSpec, int]]:
+        """Run ``specs`` in one configuration until done or stopped.
+
+        Returns the jobs the pass left unfinished — still queued, or
+        un-acked members of an in-flight batch.  They were never
+        recorded as done, so the store still counts them as pending
+        work and ``--resume`` picks them up exactly.
+        """
+        self._configure(fork_server)
+        self._poison = PoisonTracker(self.poison_threshold)
+        self._circuit = CircuitBreaker(self.circuit_threshold)
+        self._halted = ""
+
+        #: (ready_time, spec, attempt) — backoff delays re-dispatch.
+        pending: List[tuple] = [(0.0, spec, 0) for spec in specs]
+        workers: Dict[int, _Worker] = {}
+        next_worker_id = 0
+        try:
+            for _ in range(min(self.jobs, len(pending))):
+                workers[next_worker_id] = self._spawn(next_worker_id)
+                next_worker_id += 1
+            while pending or any(w.busy for w in workers.values()):
+                if guard.tripped or self._halted or self._stop_requested:
+                    break
+                self._assign(pending, workers, store, hub)
+                self._drain(workers, pending, outcome, store, hub)
+                self._retire_idle(workers, hub)
+                self._check_timeouts(workers, pending, outcome, store, hub)
+                self._check_liveness(workers, pending, outcome, store, hub)
+                self._check_crashes(workers, pending, outcome, store, hub)
+                next_worker_id = self._replenish(
+                    workers, pending, next_worker_id
+                )
+            self._await_batch_done(workers, pending, outcome, store, hub)
+            self._retire_idle(workers, hub)
+            return [(spec, attempt) for _ready, spec, attempt in pending] + [
+                member
+                for worker in workers.values()
+                for member in worker.batch[worker.acked:]
+            ]
+        finally:
+            self._shutdown(workers)
 
     def _spawn(self, worker_id: int) -> _Worker:
+        from repro.runner.forkserver import _forkserver_worker_main
+
         # One private pipe pair per worker.  Results never share a
         # transport: see _ResultChannel for why a shared queue is a
         # liveness hazard under kills.
@@ -622,11 +713,11 @@ class WorkerPool:
         result_r, result_w = self._ctx.Pipe(duplex=False)
         heartbeat = self._ctx.Value("d", time.monotonic())
         process = self._ctx.Process(
-            target=_worker_main,
+            target=_forkserver_worker_main,
             args=(
-                worker_id, self.job_fn, inbox_r,
+                worker_id, self._job_fn, inbox_r,
                 self._wrap_outbox(_ResultChannel(result_w)), heartbeat,
-                self.beat_interval,
+                self.beat_interval, self._restore_chaos(),
             ),
             daemon=True,
             name=f"repro-runner-{worker_id}",
@@ -645,28 +736,38 @@ class WorkerPool:
     def _assign(self, pending, workers, store, hub) -> None:
         now = time.monotonic()
         for worker in workers.values():
-            if worker.busy or not pending:
+            if worker.busy or worker.retiring or not pending:
                 continue
-            index = next(
-                (i for i, (ready, _, _) in enumerate(pending) if ready <= now),
-                None,
-            )
-            if index is None:
+            indices = [
+                i for i, (ready, _, _) in enumerate(pending) if ready <= now
+            ][: self._batch]
+            if not indices:
                 continue
-            _, spec, attempt = pending.pop(index)
-            worker.spec = spec
-            worker.attempt = attempt
+            members = [pending[i] for i in indices]
+            for i in reversed(indices):
+                del pending[i]
+            worker.batch = [
+                (spec, attempt) for _ready, spec, attempt in members
+            ]
+            worker.acked = 0
             worker.started_at = now
             try:
-                worker.inbox.send((spec.to_json(), attempt))
+                worker.inbox.send(
+                    [
+                        (spec.to_json(), attempt)
+                        for spec, attempt in worker.batch
+                    ]
+                )
+                worker.batches_sent += 1
             except OSError:
-                pass  # worker just died; _check_crashes re-queues the job
-            if store is not None and attempt == 0:
-                store.mark_running(spec.job_id)
-            hub.emit(
-                ev.JOB_STARTED, job_id=spec.job_id, label=spec.label,
-                worker=worker.worker_id, attempt=attempt,
-            )
+                pass  # worker just died; _check_crashes re-queues the batch
+            for spec, attempt in worker.batch:
+                if store is not None and attempt == 0:
+                    store.mark_running(spec.job_id)
+                hub.emit(
+                    ev.JOB_STARTED, job_id=spec.job_id, label=spec.label,
+                    worker=worker.worker_id, attempt=attempt,
+                )
 
     def _drain(self, workers, pending, outcome, store, hub) -> None:
         """Process every available worker message (block briefly once).
@@ -686,10 +787,10 @@ class WorkerPool:
             for worker in workers.values() if not worker.eof
         }
         if not conns:
-            time.sleep(self.poll_interval)
+            time.sleep(_POLL_INTERVAL)
             return
         ready = multiprocessing.connection.wait(
-            list(conns), timeout=self.poll_interval
+            list(conns), timeout=_POLL_INTERVAL
         )
         for conn in ready:
             worker = conns[conn]
@@ -719,19 +820,34 @@ class WorkerPool:
     ) -> None:
         worker_id, job_id, status, payload, retryable, wall = message
         worker = workers.get(worker_id)
+        if worker is None:
+            return  # a replaced or retired worker's late message
         if status == "ready":
             # Bootstrap finished: charge the in-flight job's wall-clock
             # budget from here, not from when the job was queued into a
             # still-booting interpreter.
-            if worker is not None:
-                worker.ready = True
-                if worker.busy:
-                    worker.started_at = time.monotonic()
+            worker.ready = True
+            if worker.busy:
+                worker.started_at = time.monotonic()
             return
-        if worker is None or worker.spec is None or worker.spec.job_id != job_id:
-            return  # stale message (a chaos duplicate, a replaced worker)
-        spec, attempt = worker.spec, worker.attempt
-        worker.spec = None
+        if status in ("infra", "batch-done"):
+            if payload.get("seq", 0) <= worker.infra_seq:
+                return  # chaos-duplicated control message
+            worker.infra_seq = payload["seq"]
+            if status == "infra":
+                self._on_infra(payload, job_id, worker, hub)
+            else:
+                worker.batches_done += 1
+                self._on_batch_done(payload, worker)
+            return
+        if not worker.busy:
+            return  # stale result (a chaos duplicate after batch end)
+        spec, attempt = worker.current()
+        if spec.job_id != job_id:
+            return  # stale or duplicated mid-batch message
+        worker.acked += 1
+        worker.served += 1
+        worker.started_at = time.monotonic()  # the next member's clock
         self._circuit.record_success()  # the worker survived its job
         if status == "done":
             outcome.results[spec.job_id] = payload
@@ -751,17 +867,107 @@ class WorkerPool:
                 spec, attempt, str(payload), retryable, pending, outcome,
                 store, hub,
             )
+        if not worker.busy:
+            worker.batch = []
+            worker.acked = 0
+
+    def _await_batch_done(self, workers, pending, outcome, store, hub) -> None:
+        """Drain until every idle worker has acknowledged every batch.
+
+        A batch's trailing ``batch-done`` frame (carrying the worker's
+        cache counters) lands moments after its last result, so the
+        main loop can exit while one or more are still in flight.
+        Workers at EOF and workers still busy (an interrupted or halted
+        campaign) will send nothing more worth waiting for; the wait is
+        bounded by the shutdown grace either way.
+        """
+        deadline = time.monotonic() + _SHUTDOWN_GRACE
+        while time.monotonic() < deadline and any(
+            not w.eof and not w.busy and w.batches_done < w.batches_sent
+            for w in workers.values()
+        ):
+            self._drain(workers, pending, outcome, store, hub)
+
+    def _on_infra(self, payload, job_id, worker, hub) -> None:
+        if payload.get("kind") == "restore-diverged":
+            hub.emit(
+                ev.RESTORE_DIVERGED,
+                job_id=job_id or "",
+                worker=worker.worker_id,
+                detail=(
+                    f"xen-{payload.get('version', '?')}: restored digest "
+                    f"{payload.get('actual', '')[:12]} != checkpoint "
+                    f"{payload.get('expected', '')[:12]}"
+                ),
+            )
+
+    def _on_batch_done(self, payload, worker) -> None:
+        counters = payload.get("counters", {})
+        for key in sorted(counters):
+            self._count(key, counters[key])
+        rss = int(payload.get("rss_kb", 0))
+        if worker.baseline_rss == 0:
+            worker.baseline_rss = rss
+        grown = rss - worker.baseline_rss
+        reason = ""
+        if worker.served >= self.recycle_after:
+            reason = (
+                f"served {worker.served} jobs "
+                f"(recycle_after {self.recycle_after})"
+            )
+        elif grown > _MAX_RSS_GROWTH_KB:
+            reason = (
+                f"rss grew {grown} KiB over baseline "
+                f"(limit {_MAX_RSS_GROWTH_KB})"
+            )
+        if reason and not worker.retiring:
+            worker.retiring = True
+            worker.recycle_reason = reason
+
+    def _retire_idle(self, workers, hub) -> None:
+        """Replace every retiring worker whose batches are all accounted.
+
+        The ``batch-done`` that marks a worker retiring can arrive after
+        the next batch was already sent to it.  That batch's own
+        ``batch-done`` trails its last result, so the worker is retired
+        only once it arrives: closing the pipe earlier would lose the
+        batch's counters.  A worker at EOF, or idle for longer than the
+        shutdown grace, is retired without it.
+        """
+        now = time.monotonic()
+        for worker in list(workers.values()):
+            if worker.retiring and not worker.busy and (
+                worker.batches_done >= worker.batches_sent
+                or worker.eof
+                or now - worker.started_at > _SHUTDOWN_GRACE
+            ):
+                self._retire(workers, worker, hub)
+
+    def _retire(self, workers, worker, hub) -> None:
+        """Gracefully replace a worker that hit its recycling limit."""
+        hub.emit(
+            ev.WORKER_RECYCLED, worker=worker.worker_id,
+            detail=worker.recycle_reason,
+        )
+        self._count("forkserver.workers.recycled")
+        workers.pop(worker.worker_id, None)
+        try:
+            worker.inbox.send(None)
+        except OSError:
+            pass
+        worker.process.join(timeout=2.0)
+        self._kill(workers, worker)  # force + close pipes if still alive
 
     def _check_timeouts(self, workers, pending, outcome, store, hub) -> None:
         if self.timeout is None:
             return
         now = time.monotonic()
         for worker in list(workers.values()):
-            spec, attempt = worker.spec, worker.attempt
-            if spec is None or not worker.ready:
+            if not worker.busy or not worker.ready:
                 continue  # boot time is not the job's; liveness covers wedges
             if now - worker.started_at <= self.timeout:
                 continue
+            spec, attempt = worker.current()
             detail = f"exceeded {self.timeout:.1f}s wall-clock budget"
             hub.emit(
                 ev.JOB_TIMEOUT, job_id=spec.job_id, label=spec.label,
@@ -772,9 +978,7 @@ class WorkerPool:
                 store.record_attempt(
                     spec.job_id, attempt, "timeout", detail, self.timeout
                 )
-            self._handle_death(
-                spec, attempt, detail, pending, outcome, store, hub
-            )
+            self._handle_death(worker, detail, pending, outcome, store, hub)
 
     def _check_liveness(self, workers, pending, outcome, store, hub) -> None:
         """Detect wedged workers whose process is alive but silent.
@@ -782,23 +986,24 @@ class WorkerPool:
         ``is_alive()`` cannot see a SIGSTOPped or deadlocked worker;
         the heartbeat can — it goes stale.  The job's own runtime is
         covered by ``timeout``; this grace period only covers loss of
-        the heartbeat itself.
+        the heartbeat itself.  A still-booting interpreter has not
+        started its beat thread yet, so it gets the boot allowance,
+        not the (often much tighter) steady-state grace.
         """
         if self.liveness_grace is None:
             return
         now = time.monotonic()
         for worker in list(workers.values()):
-            spec, attempt = worker.spec, worker.attempt
-            if spec is None or not worker.process.is_alive():
+            if not worker.busy or not worker.process.is_alive():
                 continue
-            grace = _liveness_grace(self.liveness_grace, worker)
+            grace = self.liveness_grace
+            if not worker.ready:
+                grace = max(grace, _BOOT_GRACE)
             stale = now - worker.last_seen()
             if stale <= grace:
                 continue
-            detail = (
-                f"no heartbeat for {stale:.1f}s "
-                f"(grace {grace:.1f}s)"
-            )
+            spec, attempt = worker.current()
+            detail = f"no heartbeat for {stale:.1f}s (grace {grace:.1f}s)"
             hub.emit(
                 ev.WORKER_UNRESPONSIVE, job_id=spec.job_id, label=spec.label,
                 worker=worker.worker_id, attempt=attempt, detail=detail,
@@ -808,18 +1013,22 @@ class WorkerPool:
                 store.record_attempt(
                     spec.job_id, attempt, "unresponsive", detail
                 )
-            self._handle_death(
-                spec, attempt, detail, pending, outcome, store, hub
-            )
+            self._handle_death(worker, detail, pending, outcome, store, hub)
 
     def _check_crashes(self, workers, pending, outcome, store, hub) -> None:
         """Detect dead workers and fail (or retry) their in-flight jobs."""
         for worker in list(workers.values()):
             if worker.process.is_alive():
                 continue
-            spec, attempt = worker.spec, worker.attempt
+            # Harvest results the worker flushed before dying — they
+            # are complete frames in its private pipe, and re-running
+            # their jobs would only redo identical work.
+            self._pump(worker)
+            for message in worker.take_messages():
+                self._dispatch(message, workers, pending, outcome, store, hub)
             self._kill(workers, worker)
-            if spec is not None:
+            if worker.busy:
+                spec, attempt = worker.current()
                 detail = (
                     f"worker crashed (exit code {worker.process.exitcode})"
                 )
@@ -830,20 +1039,25 @@ class WorkerPool:
                 if store is not None:
                     store.record_attempt(spec.job_id, attempt, "crash", detail)
                 self._handle_death(
-                    spec, attempt, detail, pending, outcome, store, hub
+                    worker, detail, pending, outcome, store, hub
                 )
 
     def _handle_death(
-        self, spec, attempt, detail, pending, outcome, store, hub
+        self, worker, detail, pending, outcome, store, hub
     ) -> None:
-        """A worker died under this job: quarantine, retry, or fail.
+        """A worker died under its current member: quarantine, retry, or fail.
 
-        Two guards fire before the ordinary retry path: the poison
-        tracker quarantines a *job* that keeps killing workers, and the
-        circuit breaker halts the *campaign* when workers die
-        consecutively regardless of job — the first is a bad input,
-        the second a bad environment.
+        Members *after* the one executing are requeued at their
+        existing attempt count — the worker never started them, so its
+        death is not their failure.  Two guards then fire before the
+        ordinary retry path: the poison tracker quarantines a *job*
+        that keeps killing workers, and the circuit breaker halts the
+        *campaign* when workers die consecutively regardless of job —
+        the first is a bad input, the second a bad environment.
         """
+        for member in worker.batch[worker.acked + 1:]:
+            pending.append((0.0, *member))
+        spec, attempt = worker.current()
         verdict = self._poison.record_death(spec.job_id)
         if verdict is not None:
             quarantine_detail = verdict.render()
@@ -895,15 +1109,8 @@ class WorkerPool:
             attempt=attempt, detail=detail,
         )
 
-    def _fail_remaining(
-        self, pending, abandoned, outcome, store, hub, detail
-    ) -> None:
+    def _fail_remaining(self, leftovers, outcome, store, hub, detail) -> None:
         """Circuit open: fail everything still queued or in flight."""
-        leftovers = [(spec, attempt) for _ready, spec, attempt in pending]
-        leftovers.extend(
-            (spec, attempt) for spec, attempt in abandoned if spec is not None
-        )
-        pending.clear()
         for spec, attempt in leftovers:
             if spec.job_id in outcome.failures:
                 continue
@@ -953,42 +1160,34 @@ def make_runner(
     jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 1,
-    job_fn: JobFn = execute_job,
+    job_fn: Optional[JobFn] = None,
     on_event: Optional[EventCallback] = None,
     max_backoff: float = 5.0,
     poison_threshold: int = 3,
     circuit_threshold: int = 8,
     liveness_grace: Optional[float] = 30.0,
     fork_server: bool = False,
-    batch: int = 8,
-    recycle_after: int = 256,
+    batch: int = DEFAULT_BATCH,
+    recycle_after: int = DEFAULT_RECYCLE_AFTER,
 ):
     """A SerialRunner for ``jobs=1``, a WorkerPool otherwise.
 
-    ``fork_server=True`` selects the persistent snapshot-cached
-    :class:`~repro.runner.forkserver.ForkServerPool` at any job count
-    (even one worker benefits from the snapshot cache).
+    ``fork_server=True`` selects the pool's snapshot-cached fork-server
+    configuration at any job count (even one worker benefits from the
+    snapshot cache).  ``job_fn=None`` runs each configuration's own
+    executor.
     """
-    if fork_server:
-        from repro.runner.forkserver import ForkServerPool, execute_job_cached
-
-        return ForkServerPool(
-            jobs=max(jobs, 1), batch=batch, recycle_after=recycle_after,
-            timeout=timeout, retries=retries, max_backoff=max_backoff,
-            job_fn=execute_job_cached if job_fn is execute_job else job_fn,
-            on_event=on_event, poison_threshold=poison_threshold,
-            circuit_threshold=circuit_threshold,
-            liveness_grace=liveness_grace,
-        )
-    if jobs <= 1:
+    if jobs <= 1 and not fork_server:
         return SerialRunner(
-            retries=retries, max_backoff=max_backoff, job_fn=job_fn,
-            on_event=on_event,
+            retries=retries, max_backoff=max_backoff,
+            job_fn=job_fn or execute_job, on_event=on_event,
         )
     return WorkerPool(
-        jobs=jobs, timeout=timeout, retries=retries, max_backoff=max_backoff,
-        job_fn=job_fn, on_event=on_event, poison_threshold=poison_threshold,
+        jobs=max(jobs, 1), timeout=timeout, retries=retries,
+        max_backoff=max_backoff, job_fn=job_fn, on_event=on_event,
+        poison_threshold=poison_threshold,
         circuit_threshold=circuit_threshold, liveness_grace=liveness_grace,
+        fork_server=fork_server, batch=batch, recycle_after=recycle_after,
     )
 
 
@@ -998,7 +1197,7 @@ def run_jobs(
     timeout: Optional[float] = None,
     retries: int = 1,
     store: Optional[ResultStore] = None,
-    job_fn: JobFn = execute_job,
+    job_fn: Optional[JobFn] = None,
     on_event: Optional[EventCallback] = None,
 ) -> RunnerOutcome:
     """One-call campaign execution: plan in, outcome out."""

@@ -90,10 +90,14 @@ def canonical_plan(plan: Dict[str, object]) -> Dict[str, object]:
         raise PlanError(f"plan kind must be one of {_KINDS}, got {kind!r}")
 
     if kind == "campaign":
-        from repro.core.injections.registry import is_registered, registered_names
+        from repro.core.injections.registry import is_registered
+        from repro.exploits import USE_CASES
 
+        # The default is `repro campaign`'s matrix, in its order: the
+        # paper's use cases.  The cross-domain cells run only when named,
+        # with the cross-domain topology, as under `--cross-domain`.
         use_cases = _str_list(
-            plan.get("use_cases", list(registered_names())), "use_cases"
+            plan.get("use_cases", [u.name for u in USE_CASES]), "use_cases"
         )
         for name in use_cases:
             if not is_registered(name):

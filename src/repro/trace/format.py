@@ -31,7 +31,6 @@ else means the file was damaged after the fact and raises the typed
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional
 
@@ -327,9 +326,3 @@ def trace_filename(
     if topology is not None and not topology.is_default:
         stem += f"_t{topology.topology_hash}"
     return stem.replace("/", "-").replace(" ", "-") + ".trace"
-
-
-def remove_if_exists(path: str) -> None:
-    """Best-effort removal of an abandoned trace artefact."""
-    if os.path.exists(path):
-        os.remove(path)

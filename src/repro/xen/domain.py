@@ -83,9 +83,6 @@ class Domain:
                 return pfn
         return None
 
-    def owns_mfn(self, mfn: int) -> bool:
-        return self.mfn_to_pfn(mfn) is not None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "dom0" if self.is_privileged else "domU"
         return f"<Domain d{self.id} {self.name!r} ({kind}, {self.num_pages} pages)>"

@@ -12,9 +12,10 @@ Three layers of coverage:
 * the worker-side snapshot cache (``execute_job_cached``) — byte
   parity with the cold-boot executor, divergence eviction and
   cold-boot fallback;
-* :class:`~repro.runner.forkserver.ForkServerPool` — batch dispatch,
-  crash/timeout recovery mid-batch, worker recycling, degradation to
-  the spawn pool, graceful interruption with exact resume, and the
+* :class:`~repro.runner.forkserver.ForkServerPool` (the pool's
+  fork-server configuration) — batch dispatch, crash/timeout recovery
+  mid-batch, worker recycling, degradation to the spawn configuration,
+  graceful interruption with exact resume, and the
   no-orphan-survives-parent-SIGKILL regression.
 """
 
@@ -45,6 +46,7 @@ from repro.runner import (
     JobSpec,
     ResultStore,
     SerialRunner,
+    WorkerPool,
     execute_job,
     execute_job_cached,
     plan_fuzz,
@@ -56,8 +58,6 @@ from repro.xen.frames import PageType
 from repro.xen.snapshot import machine_digest
 from repro.xen.versions import XEN_4_13
 from tests.conftest import CommitCountingStore, churn_frames, frame_table
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def selftest(behaviour: str, tag: str = "") -> JobSpec:
@@ -351,7 +351,6 @@ class TestForkServerPool:
         assert len({p["pid"] for p in outcome.results.values()}) >= 2
         assert no_orphans()
 
-    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
     def test_restore_divergence_evicts_and_stays_correct(self):
         recorder = EventRecorder()
         specs = plan_fuzz("4.13", ["idt"], 6, 20230701)
@@ -386,16 +385,28 @@ class TestForkServerPool:
         for spec in specs:
             if spec.use_case == "ok":
                 assert spec.job_id in outcome.results
+        # degrading continues the same run: one campaign end, counting
+        # every job of the plan, and no job event restarts the count
+        [finished] = [
+            e for e in recorder.events if e.kind == ev.CAMPAIGN_FINISHED
+        ]
+        assert finished.done == finished.total == len(specs)
+        degraded_at = recorder.kinds().index(ev.POOL_DEGRADED)
+        job_events = [
+            e for e in recorder.events[degraded_at:] if e.job_id
+        ]
+        assert job_events
+        assert all(e.total == len(specs) for e in job_events)
         assert no_orphans()
 
-    def test_degrade_false_fails_fast_like_the_base_pool(self):
+    def test_spawn_configuration_fails_fast_on_open_circuit(self):
         recorder = EventRecorder()
         specs = [selftest("crash", f"c{i}") for i in range(3)] + [
             selftest("ok", "tail")
         ]
-        pool = ForkServerPool(
-            jobs=1, batch=1, retries=0, poison_threshold=99,
-            circuit_threshold=2, degrade=False, on_event=recorder,
+        pool = WorkerPool(
+            jobs=1, retries=0, poison_threshold=99, circuit_threshold=2,
+            on_event=recorder,
         )
         outcome = pool.run(specs)
         assert ev.POOL_DEGRADED not in recorder.kinds()
@@ -637,8 +648,7 @@ class TestGracefulShutdown:
 
 class TestPreferredContext:
     def test_prefers_fork_where_available(self):
-        expected = "fork" if HAS_FORK else "spawn"
-        assert preferred_context() == expected
+        assert preferred_context() == "fork"
 
     def test_pool_validates_parameters(self):
         with pytest.raises(ValueError, match="batch"):

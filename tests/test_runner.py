@@ -44,7 +44,6 @@ from repro.runner import events as ev
 from repro.runner import jobs as jobs_module
 from repro.runner import pool as pool_module
 from repro.runner.events import EventHub
-from repro.runner.forkserver import ForkServerPool, _BatchWorker
 from repro.runner.pool import CampaignFailed, _Worker
 from repro.runner.store import (
     SCHEMA_VERSION,
@@ -318,30 +317,26 @@ class _FakeConn:
 
 
 class TestBootGrace:
-    """Both pools give a not-ready worker the one boot allowance."""
-
-    @staticmethod
-    def _not_ready_worker(pool_cls, spec, stale):
-        common = dict(
-            worker_id=0, process=_FakeProcess(), inbox=_FakeConn(),
-            conn=_FakeConn(), started_at=time.monotonic() - stale,
-        )
-        if pool_cls is ForkServerPool:
-            return _BatchWorker(batch=[(spec, 0)], **common)
-        return _Worker(spec=spec, **common)
+    """Both configurations give a not-ready worker the one boot allowance."""
 
     @pytest.mark.parametrize(
-        "pool_cls", [WorkerPool, ForkServerPool], ids=["spawn", "fork-server"]
+        "fork_server", [False, True], ids=["spawn", "fork-server"]
     )
     def test_not_ready_grace_derives_from_boot_constant(
-        self, monkeypatch, pool_cls
+        self, monkeypatch, fork_server
     ):
         monkeypatch.setattr(pool_module, "_BOOT_GRACE", 7.5)
         spec = selftest("ok")
         verdicts = []
         for stale in (5.0, 10.0):
-            pool = pool_cls(jobs=1, liveness_grace=0.5, retries=0)
-            worker = self._not_ready_worker(pool_cls, spec, stale)
+            pool = WorkerPool(
+                jobs=1, liveness_grace=0.5, retries=0, fork_server=fork_server
+            )
+            worker = _Worker(
+                worker_id=0, process=_FakeProcess(), inbox=_FakeConn(),
+                conn=_FakeConn(), started_at=time.monotonic() - stale,
+                batch=[(spec, 0)],
+            )
             workers = {0: worker}
             recorder = EventRecorder()
             pool._check_liveness(

@@ -234,6 +234,51 @@ class TestPlans:
         ]
         assert service_ids == cli_ids
 
+    def test_default_campaign_plan_is_the_cli_matrix(self, monkeypatch):
+        """A bare campaign plan runs `repro campaign`'s jobs, and the
+        cross-domain cells with their topology run `--cross-domain`'s:
+        the identity CI's service-vs-CLI compaction step compares."""
+        from repro import cli
+        from repro.core.topology import CROSS_DOMAIN_TOPOLOGY
+        from repro.exploits import CROSS_DOMAIN_USE_CASES, USE_CASES
+        from repro.runner import RunnerOutcome, plan_campaign
+        from repro.xen.versions import ALL_VERSIONS
+
+        class PlanCapture:
+            """Runner stand-in: records the CLI's plan, runs nothing."""
+
+            specs: list = []
+
+            def run(self, specs, store=None):
+                self.specs = list(specs)
+                return RunnerOutcome(interrupted=True)
+
+        def cli_ids(*flags):
+            capture = PlanCapture()
+            monkeypatch.setattr(
+                cli, "_runner_from_args", lambda args: (capture, None)
+            )
+            assert cli.main(["campaign", *flags]) == 130
+            return [spec.job_id for spec in capture.specs]
+
+        default_ids = [
+            s.job_id for s in expand_plan(canonical_plan({"kind": "campaign"}))
+        ]
+        assert default_ids == [
+            s.job_id for s in plan_campaign(
+                [u.name for u in USE_CASES], [v.name for v in ALL_VERSIONS]
+            )
+        ]
+        assert default_ids == cli_ids()
+        cross_domain = canonical_plan({
+            "kind": "campaign",
+            "use_cases": [u.name for u in CROSS_DOMAIN_USE_CASES],
+            "topology": CROSS_DOMAIN_TOPOLOGY.canonical_dict(),
+        })
+        assert [s.job_id for s in expand_plan(cross_domain)] == cli_ids(
+            "--cross-domain"
+        )
+
 
 # ----------------------------------------------------------------------
 # HTTP primitives
