@@ -23,7 +23,7 @@ processes accumulate state and cached snapshots can rot, so:
 * every restore is **digest-verified** against the checkpoint's
   ``machine_digest``; a mismatch evicts the cache entry, cold-boots a
   fresh testbed, emits a structured ``restore-diverged`` event and is
-  counted in the pool's infrastructure :class:`MetricsCollector`;
+  counted in the pool's infrastructure ``stats``;
 * workers report RSS and cache counters after every batch, so the
   pool can **recycle** them after ``recycle_after`` jobs or unbounded
   RSS growth (the same park/reboot discipline ReHype applies to the
@@ -238,10 +238,9 @@ def _forkserver_worker_main(
             payload: object
             try:
                 payload = job_fn(spec, attempt)
-            except TransientJobError as exc:
-                status, payload, retryable = "error", str(exc), True
             except BaseException as exc:  # noqa: BLE001 - isolation boundary
                 status, payload = "error", f"{type(exc).__name__}: {exc}"
+                retryable = isinstance(exc, TransientJobError)
             wall = time.perf_counter() - started
             try:
                 for infra in list(_INFRA):

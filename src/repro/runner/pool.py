@@ -47,9 +47,12 @@ properties the serial campaign loop cannot offer:
 * **graceful interruption** — SIGINT/SIGTERM stop dispatch, flush the
   store, and leave it resumable instead of dying mid-write.
 
-:class:`SerialRunner` is the in-process twin with identical store and
-event semantics (minus timeout enforcement); ``--jobs 1`` uses it, so
-serial and parallel campaigns share one persistence/resume story.
+:class:`SerialRunner` is the in-process twin (minus timeout
+enforcement); ``--jobs 1`` uses it.  Both runners share one ``run()``
+and keep one set of books: a per-run ``_Ledger`` is the only code that
+writes a job's store transitions and emits its events, so serial and
+parallel campaigns record the same rows and events and share one
+persistence/resume story.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.probes.metrics import MetricsCollector
 from repro.resilience.quarantine import CircuitBreaker, PoisonTracker
 from repro.runner import events as ev
 from repro.runner.backoff import seeded_backoff
@@ -142,26 +144,6 @@ class RunnerOutcome:
 JobFn = Callable[[JobSpec, int], dict]
 
 
-def _resume_into(
-    outcome: RunnerOutcome, specs: List[JobSpec], store: Optional[ResultStore]
-) -> List[JobSpec]:
-    """Register jobs and load already-completed results; return the rest."""
-    if store is None:
-        return specs
-    store.register(specs)
-    done = store.completed_ids()
-    remaining = []
-    for spec in specs:
-        if spec.job_id in done:
-            payload = store.payload(spec.job_id)
-            if payload is not None:
-                outcome.results[spec.job_id] = payload
-                outcome.skipped.add(spec.job_id)
-                continue
-        remaining.append(spec)
-    return remaining
-
-
 class _SignalGuard:
     """Convert SIGINT/SIGTERM into a flag the run loop polls.
 
@@ -209,20 +191,143 @@ class _SignalGuard:
 
 
 # ----------------------------------------------------------------------
-# Serial execution (the --jobs 1 path)
+# The books and the run skeleton both runners share
 # ----------------------------------------------------------------------
 
 
-class SerialRunner:
-    """In-process executor with the pool's store/retry/event semantics."""
+class _Ledger:
+    """One run's books: the only code that writes job transitions.
+
+    Every store transition and every job event of a run goes through
+    these methods, so the serial runner and both pool configurations
+    record the same rows and emit the same events for the same job
+    history.  Built per run: registering the plan and loading results
+    a previous run finished (each announced as ``job-skipped``, in plan
+    order) happen here, and :meth:`close` ends the run.
+    """
 
     def __init__(
         self,
-        retries: int = 1,
-        backoff: float = 0.0,
-        max_backoff: float = 5.0,
-        job_fn: JobFn = execute_job,
-        on_event: Optional[EventCallback] = None,
+        specs: Sequence[JobSpec],
+        store: Optional[ResultStore],
+        on_event: Optional[EventCallback],
+        retries: int,
+        backoff: float,
+        max_backoff: float,
+    ):
+        self.specs = list(specs)
+        self.store = store
+        self.outcome = RunnerOutcome()
+        self.hub = EventHub(total=len(self.specs), callback=on_event)
+        self.retries = retries
+        self.backoff = backoff
+        self.max_backoff = max_backoff
+        #: The jobs this run still has to execute, in plan order.
+        self.remaining = self.specs
+        if store is None:
+            return
+        store.register(self.specs)
+        done = store.completed_ids()
+        self.remaining = []
+        for spec in self.specs:
+            payload = store.payload(spec.job_id) if spec.job_id in done else None
+            if payload is None:
+                self.remaining.append(spec)
+                continue
+            self.outcome.results[spec.job_id] = payload
+            self.outcome.skipped.add(spec.job_id)
+            self.hub.emit(ev.JOB_SKIPPED, job_id=spec.job_id)
+
+    def _emit(self, kind: str, spec: JobSpec, attempt: int, **fields) -> None:
+        self.hub.emit(
+            kind, job_id=spec.job_id, label=spec.label, attempt=attempt,
+            **fields,
+        )
+
+    def flush(self) -> None:
+        if self.store is not None:
+            self.store.flush()
+
+    def started(self, spec: JobSpec, attempt: int, worker: int = -1) -> None:
+        if self.store is not None and attempt == 0:
+            self.store.mark_running(spec.job_id)
+        self._emit(ev.JOB_STARTED, spec, attempt, worker=worker)
+
+    def finished(
+        self, spec: JobSpec, attempt: int, payload: dict, wall: float,
+        worker: int = -1,
+    ) -> None:
+        self.outcome.results[spec.job_id] = payload
+        if self.store is not None:
+            self.store.record_attempt(spec.job_id, attempt, "done", "", wall)
+            self.store.record_success(spec.job_id, payload, wall)
+        self._emit(ev.JOB_FINISHED, spec, attempt, worker=worker)
+
+    def attempt_lost(
+        self, spec: JobSpec, attempt: int, status: str, detail: str,
+        wall: Optional[float] = None, event: str = "", worker: int = -1,
+    ) -> None:
+        """Log an attempt that produced no result.
+
+        ``status`` is the attempt row's: ``error``, ``quarantined``, or
+        the worker death (``timeout``, ``unresponsive``, ``crash``)
+        that ``event`` announces.
+        """
+        if event:
+            self._emit(event, spec, attempt, worker=worker, detail=detail)
+        if self.store is not None:
+            self.store.record_attempt(
+                spec.job_id, attempt, status, detail, wall
+            )
+
+    def retry_or_fail(
+        self, spec: JobSpec, attempt: int, detail: str, retryable: bool
+    ) -> Optional[float]:
+        """The backoff before the next attempt, or None once failed."""
+        if retryable and attempt < self.retries:
+            delay = seeded_backoff(
+                self.backoff, attempt + 1, spec.job_id, self.max_backoff
+            )
+            self._emit(
+                ev.JOB_RETRIED, spec, attempt + 1, detail=detail, delay=delay
+            )
+            return delay
+        self.fail(spec, attempt, detail)
+        return None
+
+    def fail(
+        self, spec: JobSpec, attempt: int, detail: str,
+        kind: str = ev.JOB_FAILED,
+    ) -> None:
+        """Fail a job for good (``kind`` JOB_QUARANTINED quarantines it)."""
+        if spec.job_id in self.outcome.failures:
+            return
+        self.outcome.failures[spec.job_id] = detail
+        if self.store is not None:
+            self.store.record_failure(spec.job_id)
+        self._emit(kind, spec, attempt, detail=detail)
+
+    def close(self, interrupt: str) -> RunnerOutcome:
+        """End the run; ``interrupt`` names the signal that stopped it."""
+        if interrupt:
+            self.outcome.interrupted = True
+            self.outcome.interrupt_signal = interrupt
+            self.hub.emit(ev.CAMPAIGN_INTERRUPTED, detail=interrupt)
+        self.flush()
+        self.hub.emit(ev.CAMPAIGN_FINISHED)
+        return self.outcome
+
+
+class _Runner:
+    """The ``run()`` both runners share; each supplies ``_execute``."""
+
+    def __init__(
+        self,
+        retries: int,
+        backoff: float,
+        max_backoff: float,
+        job_fn: Optional[JobFn],
+        on_event: Optional[EventCallback],
     ):
         self.retries = retries
         self.backoff = backoff
@@ -236,8 +341,10 @@ class SerialRunner:
 
         Signal handlers only reach the main thread; a runner executing
         inside a worker thread (the campaign service) is stopped with
-        this instead.  Semantics match a SIGTERM: the current job
-        finishes, the store is flushed, and the outcome is marked
+        this instead.  Semantics match a SIGTERM: no new job starts
+        (the serial runner finishes its current one; the pool abandons
+        in-flight jobs un-acked, so ``--resume`` re-runs them exactly),
+        the store is flushed, and the outcome is marked
         interrupted/resumable.
         """
         self._stop_requested = True
@@ -245,83 +352,75 @@ class SerialRunner:
     def run(
         self, specs: Sequence[JobSpec], store: Optional[ResultStore] = None
     ) -> RunnerOutcome:
-        specs = list(specs)
-        outcome = RunnerOutcome()
-        hub = EventHub(total=len(specs), callback=self.on_event)
-        remaining = _resume_into(outcome, specs, store)
-        for spec in specs:  # plan order, not set order: deterministic events
-            if spec.job_id in outcome.skipped:
-                hub.emit(ev.JOB_SKIPPED, job_id=spec.job_id)
-
+        books = _Ledger(
+            specs, store, self.on_event, self.retries, self.backoff,
+            self.max_backoff,
+        )
+        # The guard goes up before the first worker exists, so an
+        # interrupt during spawn is already a graceful shutdown.
         with _SignalGuard() as guard:
-            for spec in remaining:
-                if guard.tripped or self._stop_requested:
-                    break
-                if store is not None:
-                    store.mark_running(spec.job_id)
-                attempt = 0
-                while not (guard.tripped or self._stop_requested):
-                    hub.emit(
-                        ev.JOB_STARTED, job_id=spec.job_id, label=spec.label,
-                        attempt=attempt,
+
+            def stopped() -> bool:
+                return guard.tripped or self._stop_requested
+
+            self._execute(books, stopped)
+            interrupt = (guard.describe() or "stop-requested") if stopped() else ""
+        return books.close(interrupt)
+
+    def _execute(self, books: _Ledger, stopped: Callable[[], bool]) -> None:
+        raise NotImplementedError
+
+
+# ----------------------------------------------------------------------
+# Serial execution (the --jobs 1 path)
+# ----------------------------------------------------------------------
+
+
+class SerialRunner(_Runner):
+    """In-process executor with the pool's store/retry/event semantics."""
+
+    def __init__(
+        self,
+        retries: int = 1,
+        backoff: float = 0.0,
+        max_backoff: float = 5.0,
+        job_fn: JobFn = execute_job,
+        on_event: Optional[EventCallback] = None,
+    ):
+        super().__init__(retries, backoff, max_backoff, job_fn, on_event)
+
+    def _execute(self, books: _Ledger, stopped: Callable[[], bool]) -> None:
+        for spec in books.remaining:
+            attempt = 0
+            while not stopped():
+                books.started(spec, attempt)
+                started = time.perf_counter()
+                try:
+                    payload = self.job_fn(spec, attempt)
+                except Exception as exc:
+                    detail = f"{type(exc).__name__}: {exc}"
+                    books.attempt_lost(
+                        spec, attempt, "error", detail,
+                        time.perf_counter() - started,
                     )
-                    started = time.perf_counter()
-                    try:
-                        payload = self.job_fn(spec, attempt)
-                    except Exception as exc:
-                        wall = time.perf_counter() - started
-                        retryable = isinstance(exc, TransientJobError)
-                        detail = f"{type(exc).__name__}: {exc}"
-                        if store is not None:
-                            store.record_attempt(
-                                spec.job_id, attempt, "error", detail, wall
-                            )
-                        if retryable and attempt < self.retries:
-                            attempt += 1
-                            delay = seeded_backoff(
-                                self.backoff, attempt, spec.job_id,
-                                self.max_backoff,
-                            )
-                            hub.emit(
-                                ev.JOB_RETRIED, job_id=spec.job_id,
-                                label=spec.label, attempt=attempt,
-                                detail=detail, delay=delay,
-                            )
-                            if delay:
-                                if store is not None:
-                                    store.flush()
-                                time.sleep(delay)
-                            continue
-                        outcome.failures[spec.job_id] = detail
-                        if store is not None:
-                            store.record_failure(spec.job_id, detail)
-                        hub.emit(
-                            ev.JOB_FAILED, job_id=spec.job_id,
-                            label=spec.label, attempt=attempt, detail=detail,
-                        )
+                    delay = books.retry_or_fail(
+                        spec, attempt, detail,
+                        isinstance(exc, TransientJobError),
+                    )
+                    if delay is None:
                         break
-                    wall = time.perf_counter() - started
-                    outcome.results[spec.job_id] = payload
-                    if store is not None:
-                        store.record_attempt(
-                            spec.job_id, attempt, "done", "", wall
-                        )
-                        store.record_success(spec.job_id, payload, wall)
-                    hub.emit(
-                        ev.JOB_FINISHED, job_id=spec.job_id, label=spec.label,
-                        attempt=attempt,
-                    )
-                    break
-                if store is not None:
-                    store.flush()
-            if guard.tripped or self._stop_requested:
-                outcome.interrupted = True
-                outcome.interrupt_signal = guard.describe() or "stop-requested"
-                hub.emit(
-                    ev.CAMPAIGN_INTERRUPTED, detail=outcome.interrupt_signal
+                    attempt += 1
+                    if delay:
+                        books.flush()
+                        time.sleep(delay)
+                    continue
+                books.finished(
+                    spec, attempt, payload, time.perf_counter() - started
                 )
-        hub.emit(ev.CAMPAIGN_FINISHED)
-        return outcome
+                break
+            books.flush()
+            if stopped():
+                break
 
 
 # ----------------------------------------------------------------------
@@ -480,7 +579,7 @@ class _Worker:
         return messages
 
 
-class WorkerPool:
+class WorkerPool(_Runner):
     """Multiprocessing campaign executor with fault isolation.
 
     One pool, two configurations, selected by ``fork_server``:
@@ -493,8 +592,8 @@ class WorkerPool:
       :func:`~repro.runner.forkserver.execute_job_cached`, which serves
       classic fuzz trials from a digest-verified snapshot cache.
 
-    Both run the same loop: the same worker main, timeout, liveness,
-    crash and recycling checks.  When the circuit breaker opens in the
+    Both run the same loop: the same worker main, worker-death sweep
+    and recycling.  When the circuit breaker opens in the
     fork-server configuration the pool *degrades* — same pool, cache
     off: the run switches to the spawn configuration and continues over
     the leftover jobs in plan order, with a fresh breaker and poison
@@ -526,13 +625,9 @@ class WorkerPool:
             raise ValueError("batch must be >= 1")
         if recycle_after < 1:
             raise ValueError("recycle_after must be >= 1")
+        super().__init__(retries, backoff, max_backoff, job_fn, on_event)
         self.jobs = jobs
         self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.max_backoff = max_backoff
-        self.job_fn = job_fn
-        self.on_event = on_event
         self.poison_threshold = poison_threshold
         self.circuit_threshold = circuit_threshold
         self.liveness_grace = liveness_grace
@@ -540,24 +635,15 @@ class WorkerPool:
         self.fork_server = fork_server
         self.batch = batch
         self.recycle_after = recycle_after
-        #: Infrastructure metrics sink (restores, divergences, cold
-        #: boots, recycles).  Kept separate from any per-trial
-        #: collector: these counters describe execution machinery and
-        #: must never leak into persisted trial results.
-        self.metrics = MetricsCollector()
-        #: Plain-dict mirror of the last run's infra counters.
+        #: The last run's infrastructure counters (restores,
+        #: divergences, cold boots, recycles, degradations).  They
+        #: describe execution machinery and never reach persisted
+        #: trial results.
         self.stats: Dict[str, int] = {}
         self._configure(fork_server)
         self._poison = PoisonTracker(poison_threshold)
         self._circuit = CircuitBreaker(circuit_threshold)
         self._halted = ""
-        self._stop_requested = False
-
-    def request_stop(self) -> None:
-        """Cooperative interruption from another thread (see
-        :meth:`SerialRunner.request_stop`).  In-flight jobs are
-        abandoned un-acked, so ``--resume`` re-runs them exactly."""
-        self._stop_requested = True
 
     # -- hooks ----------------------------------------------------------
 
@@ -576,63 +662,31 @@ class WorkerPool:
         """
         return None
 
-    # -- public API -----------------------------------------------------
+    # -- run ------------------------------------------------------------
 
-    def run(
-        self, specs: Sequence[JobSpec], store: Optional[ResultStore] = None
-    ) -> RunnerOutcome:
-        specs = list(specs)
-        outcome = RunnerOutcome()
-        hub = EventHub(total=len(specs), callback=self.on_event)
-        remaining = _resume_into(outcome, specs, store)
-        for spec in specs:  # plan order, not set order: deterministic events
-            if spec.job_id in outcome.skipped:
-                hub.emit(ev.JOB_SKIPPED, job_id=spec.job_id)
+    def _execute(self, books: _Ledger, stopped: Callable[[], bool]) -> None:
         self.stats = {}
+        remaining = books.remaining
         fork_server = self.fork_server
-        # The guard goes up before the first worker exists, so an
-        # interrupt during spawn is already a graceful shutdown.
-        with _SignalGuard() as guard:
-            while remaining:
-                leftovers = self._run_pass(
-                    remaining, fork_server, guard, outcome, store, hub
-                )
-                if guard.tripped or self._stop_requested:
-                    outcome.interrupted = True
-                    outcome.interrupt_signal = (
-                        guard.describe() or "stop-requested"
-                    )
-                    break
-                if not self._halted:
-                    break
-                if not fork_server:
-                    self._fail_remaining(
-                        leftovers, outcome, store, hub, self._halted
-                    )
-                    break
-                unfinished = {spec.job_id for spec, _attempt in leftovers}
-                remaining = [
-                    spec for spec in specs
-                    if spec.job_id in unfinished
-                    and spec.job_id not in outcome.results
-                    and spec.job_id not in outcome.failures
-                ]
-                hub.emit(
-                    ev.POOL_DEGRADED,
-                    detail=(
-                        f"{self._halted}; degrading {len(remaining)} job(s) "
-                        "to the spawn-per-job pool"
-                    ),
-                )
-                self._count("forkserver.degraded")
-                fork_server = False
-
-        if outcome.interrupted:
-            hub.emit(ev.CAMPAIGN_INTERRUPTED, detail=outcome.interrupt_signal)
-        if store is not None:
-            store.flush()
-        hub.emit(ev.CAMPAIGN_FINISHED)
-        return outcome
+        while remaining:
+            leftovers = self._run_pass(remaining, fork_server, books, stopped)
+            if stopped() or not self._halted:
+                return
+            if not fork_server:
+                for spec, attempt in leftovers:
+                    books.fail(spec, attempt, self._halted)
+                return
+            unfinished = {spec.job_id for spec, _attempt in leftovers}
+            remaining = [s for s in books.specs if s.job_id in unfinished]
+            books.hub.emit(
+                ev.POOL_DEGRADED,
+                detail=(
+                    f"{self._halted}; degrading {len(remaining)} job(s) "
+                    "to the spawn-per-job pool"
+                ),
+            )
+            self._count("forkserver.degraded")
+            fork_server = False
 
     # -- configuration and accounting ----------------------------------
 
@@ -654,12 +708,11 @@ class WorkerPool:
 
     def _count(self, key: str, n: int = 1) -> None:
         self.stats[key] = self.stats.get(key, 0) + n
-        self.metrics.count(key, n)
 
     # -- scheduling internals ------------------------------------------
 
     def _run_pass(
-        self, specs, fork_server, guard, outcome, store, hub
+        self, specs, fork_server, books, stopped
     ) -> List[Tuple[JobSpec, int]]:
         """Run ``specs`` in one configuration until done or stopped.
 
@@ -682,19 +735,17 @@ class WorkerPool:
                 workers[next_worker_id] = self._spawn(next_worker_id)
                 next_worker_id += 1
             while pending or any(w.busy for w in workers.values()):
-                if guard.tripped or self._halted or self._stop_requested:
+                if stopped() or self._halted:
                     break
-                self._assign(pending, workers, store, hub)
-                self._drain(workers, pending, outcome, store, hub)
-                self._retire_idle(workers, hub)
-                self._check_timeouts(workers, pending, outcome, store, hub)
-                self._check_liveness(workers, pending, outcome, store, hub)
-                self._check_crashes(workers, pending, outcome, store, hub)
+                self._assign(pending, workers, books)
+                self._drain(workers, pending, books)
+                self._retire_idle(workers, books)
+                self._check_workers(workers, pending, books)
                 next_worker_id = self._replenish(
                     workers, pending, next_worker_id
                 )
-            self._await_batch_done(workers, pending, outcome, store, hub)
-            self._retire_idle(workers, hub)
+            self._await_batch_done(workers, pending, books)
+            self._retire_idle(workers, books)
             return [(spec, attempt) for _ready, spec, attempt in pending] + [
                 member
                 for worker in workers.values()
@@ -733,7 +784,7 @@ class WorkerPool:
             conn=result_r, heartbeat=heartbeat,
         )
 
-    def _assign(self, pending, workers, store, hub) -> None:
+    def _assign(self, pending, workers, books) -> None:
         now = time.monotonic()
         for worker in workers.values():
             if worker.busy or worker.retiring or not pending:
@@ -760,16 +811,11 @@ class WorkerPool:
                 )
                 worker.batches_sent += 1
             except OSError:
-                pass  # worker just died; _check_crashes re-queues the batch
+                pass  # worker just died; _check_workers re-queues the batch
             for spec, attempt in worker.batch:
-                if store is not None and attempt == 0:
-                    store.mark_running(spec.job_id)
-                hub.emit(
-                    ev.JOB_STARTED, job_id=spec.job_id, label=spec.label,
-                    worker=worker.worker_id, attempt=attempt,
-                )
+                books.started(spec, attempt, worker=worker.worker_id)
 
-    def _drain(self, workers, pending, outcome, store, hub) -> None:
+    def _drain(self, workers, pending, books) -> None:
         """Process every available worker message (block briefly once).
 
         Reads are non-blocking and frame-parsed in the parent: a
@@ -780,8 +826,7 @@ class WorkerPool:
         whole scheduling round, and no transaction is held across an
         idle wait.
         """
-        if store is not None:
-            store.flush()
+        books.flush()
         conns = {
             worker.conn: worker
             for worker in workers.values() if not worker.eof
@@ -793,10 +838,13 @@ class WorkerPool:
             list(conns), timeout=_POLL_INTERVAL
         )
         for conn in ready:
-            worker = conns[conn]
-            self._pump(worker)
-            for message in worker.take_messages():
-                self._dispatch(message, workers, pending, outcome, store, hub)
+            self._harvest(conns[conn], workers, pending, books)
+
+    def _harvest(self, worker, workers, pending, books) -> None:
+        """Dispatch every complete frame the worker's pipe holds."""
+        self._pump(worker)
+        for message in worker.take_messages():
+            self._dispatch(message, workers, pending, books)
 
     @staticmethod
     def _pump(worker: _Worker) -> None:
@@ -815,9 +863,7 @@ class WorkerPool:
                 return
             worker.buffer.extend(chunk)
 
-    def _dispatch(
-        self, message, workers, pending, outcome, store, hub
-    ) -> None:
+    def _dispatch(self, message, workers, pending, books) -> None:
         worker_id, job_id, status, payload, retryable, wall = message
         worker = workers.get(worker_id)
         if worker is None:
@@ -835,7 +881,7 @@ class WorkerPool:
                 return  # chaos-duplicated control message
             worker.infra_seq = payload["seq"]
             if status == "infra":
-                self._on_infra(payload, job_id, worker, hub)
+                self._on_infra(payload, job_id, worker, books)
             else:
                 worker.batches_done += 1
                 self._on_batch_done(payload, worker)
@@ -850,28 +896,16 @@ class WorkerPool:
         worker.started_at = time.monotonic()  # the next member's clock
         self._circuit.record_success()  # the worker survived its job
         if status == "done":
-            outcome.results[spec.job_id] = payload
-            if store is not None:
-                store.record_attempt(spec.job_id, attempt, "done", "", wall)
-                store.record_success(spec.job_id, payload, wall)
-            hub.emit(
-                ev.JOB_FINISHED, job_id=spec.job_id, label=spec.label,
-                worker=worker_id, attempt=attempt,
-            )
+            books.finished(spec, attempt, payload, wall, worker=worker_id)
         else:
-            if store is not None:
-                store.record_attempt(
-                    spec.job_id, attempt, "error", str(payload), wall
-                )
-            self._retry_or_fail(
-                spec, attempt, str(payload), retryable, pending, outcome,
-                store, hub,
-            )
+            detail = str(payload)
+            books.attempt_lost(spec, attempt, "error", detail, wall)
+            self._requeue(books, pending, spec, attempt, detail, retryable)
         if not worker.busy:
             worker.batch = []
             worker.acked = 0
 
-    def _await_batch_done(self, workers, pending, outcome, store, hub) -> None:
+    def _await_batch_done(self, workers, pending, books) -> None:
         """Drain until every idle worker has acknowledged every batch.
 
         A batch's trailing ``batch-done`` frame (carrying the worker's
@@ -886,11 +920,11 @@ class WorkerPool:
             not w.eof and not w.busy and w.batches_done < w.batches_sent
             for w in workers.values()
         ):
-            self._drain(workers, pending, outcome, store, hub)
+            self._drain(workers, pending, books)
 
-    def _on_infra(self, payload, job_id, worker, hub) -> None:
+    def _on_infra(self, payload, job_id, worker, books) -> None:
         if payload.get("kind") == "restore-diverged":
-            hub.emit(
+            books.hub.emit(
                 ev.RESTORE_DIVERGED,
                 job_id=job_id or "",
                 worker=worker.worker_id,
@@ -924,7 +958,7 @@ class WorkerPool:
             worker.retiring = True
             worker.recycle_reason = reason
 
-    def _retire_idle(self, workers, hub) -> None:
+    def _retire_idle(self, workers, books) -> None:
         """Replace every retiring worker whose batches are all accounted.
 
         The ``batch-done`` that marks a worker retiring can arrive after
@@ -941,110 +975,61 @@ class WorkerPool:
                 or worker.eof
                 or now - worker.started_at > _SHUTDOWN_GRACE
             ):
-                self._retire(workers, worker, hub)
-
-    def _retire(self, workers, worker, hub) -> None:
-        """Gracefully replace a worker that hit its recycling limit."""
-        hub.emit(
-            ev.WORKER_RECYCLED, worker=worker.worker_id,
-            detail=worker.recycle_reason,
-        )
-        self._count("forkserver.workers.recycled")
-        workers.pop(worker.worker_id, None)
-        try:
-            worker.inbox.send(None)
-        except OSError:
-            pass
-        worker.process.join(timeout=2.0)
-        self._kill(workers, worker)  # force + close pipes if still alive
-
-    def _check_timeouts(self, workers, pending, outcome, store, hub) -> None:
-        if self.timeout is None:
-            return
-        now = time.monotonic()
-        for worker in list(workers.values()):
-            if not worker.busy or not worker.ready:
-                continue  # boot time is not the job's; liveness covers wedges
-            if now - worker.started_at <= self.timeout:
-                continue
-            spec, attempt = worker.current()
-            detail = f"exceeded {self.timeout:.1f}s wall-clock budget"
-            hub.emit(
-                ev.JOB_TIMEOUT, job_id=spec.job_id, label=spec.label,
-                worker=worker.worker_id, attempt=attempt, detail=detail,
-            )
-            self._kill(workers, worker)
-            if store is not None:
-                store.record_attempt(
-                    spec.job_id, attempt, "timeout", detail, self.timeout
+                books.hub.emit(
+                    ev.WORKER_RECYCLED, worker=worker.worker_id,
+                    detail=worker.recycle_reason,
                 )
-            self._handle_death(worker, detail, pending, outcome, store, hub)
+                self._count("forkserver.workers.recycled")
+                workers.pop(worker.worker_id, None)
+                try:
+                    worker.inbox.send(None)
+                except OSError:
+                    pass
+                worker.process.join(timeout=2.0)
+                self._kill(workers, worker)  # force + close pipes if still alive
 
-    def _check_liveness(self, workers, pending, outcome, store, hub) -> None:
-        """Detect wedged workers whose process is alive but silent.
+    def _check_workers(self, workers, pending, books) -> None:
+        """One sweep: bury each busy worker that timed out, went silent
+        or died, and replace each idle one that died.
 
-        ``is_alive()`` cannot see a SIGSTOPped or deadlocked worker;
-        the heartbeat can — it goes stale.  The job's own runtime is
-        covered by ``timeout``; this grace period only covers loss of
-        the heartbeat itself.  A still-booting interpreter has not
-        started its beat thread yet, so it gets the boot allowance,
-        not the (often much tighter) steady-state grace.
+        A worker is judged on the first of, in order: its current
+        member overran the wall-clock ``timeout`` (counted only once
+        the worker is ready — boot time is not the job's); its
+        heartbeat went stale for longer than ``liveness_grace``, which
+        catches a SIGSTOPped or deadlocked process ``is_alive()``
+        still vouches for (a still-booting interpreter has not started
+        its beat thread, so it gets the boot allowance instead); its
+        process exited.  A dead worker's complete result frames are
+        harvested before it is buried: re-running jobs it finished
+        would only redo identical work.
         """
-        if self.liveness_grace is None:
-            return
         now = time.monotonic()
         for worker in list(workers.values()):
-            if not worker.busy or not worker.process.is_alive():
-                continue
+            alive = worker.process.is_alive()
             grace = self.liveness_grace
-            if not worker.ready:
+            if grace is not None and not worker.ready:
                 grace = max(grace, _BOOT_GRACE)
             stale = now - worker.last_seen()
-            if stale <= grace:
+            if (
+                worker.busy and worker.ready and self.timeout is not None
+                and now - worker.started_at > self.timeout
+            ):
+                event, status, wall = ev.JOB_TIMEOUT, "timeout", self.timeout
+                detail = f"exceeded {self.timeout:.1f}s wall-clock budget"
+            elif worker.busy and alive and grace is not None and stale > grace:
+                event, status, wall = ev.WORKER_UNRESPONSIVE, "unresponsive", None
+                detail = f"no heartbeat for {stale:.1f}s (grace {grace:.1f}s)"
+            elif not alive:
+                self._harvest(worker, workers, pending, books)
+                event, status, wall = ev.WORKER_CRASHED, "crash", None
+                detail = f"worker crashed (exit code {worker.process.exitcode})"
+            else:
                 continue
-            spec, attempt = worker.current()
-            detail = f"no heartbeat for {stale:.1f}s (grace {grace:.1f}s)"
-            hub.emit(
-                ev.WORKER_UNRESPONSIVE, job_id=spec.job_id, label=spec.label,
-                worker=worker.worker_id, attempt=attempt, detail=detail,
-            )
-            self._kill(workers, worker)
-            if store is not None:
-                store.record_attempt(
-                    spec.job_id, attempt, "unresponsive", detail
-                )
-            self._handle_death(worker, detail, pending, outcome, store, hub)
-
-    def _check_crashes(self, workers, pending, outcome, store, hub) -> None:
-        """Detect dead workers and fail (or retry) their in-flight jobs."""
-        for worker in list(workers.values()):
-            if worker.process.is_alive():
-                continue
-            # Harvest results the worker flushed before dying — they
-            # are complete frames in its private pipe, and re-running
-            # their jobs would only redo identical work.
-            self._pump(worker)
-            for message in worker.take_messages():
-                self._dispatch(message, workers, pending, outcome, store, hub)
             self._kill(workers, worker)
             if worker.busy:
-                spec, attempt = worker.current()
-                detail = (
-                    f"worker crashed (exit code {worker.process.exitcode})"
-                )
-                hub.emit(
-                    ev.WORKER_CRASHED, job_id=spec.job_id, label=spec.label,
-                    worker=worker.worker_id, attempt=attempt, detail=detail,
-                )
-                if store is not None:
-                    store.record_attempt(spec.job_id, attempt, "crash", detail)
-                self._handle_death(
-                    worker, detail, pending, outcome, store, hub
-                )
+                self._bury(worker, event, status, detail, wall, pending, books)
 
-    def _handle_death(
-        self, worker, detail, pending, outcome, store, hub
-    ) -> None:
+    def _bury(self, worker, event, status, detail, wall, pending, books) -> None:
         """A worker died under its current member: quarantine, retry, or fail.
 
         Members *after* the one executing are requeued at their
@@ -1055,29 +1040,29 @@ class WorkerPool:
         *campaign* when workers die consecutively regardless of job —
         the first is a bad input, the second a bad environment.
         """
+        spec, attempt = worker.current()
+        books.attempt_lost(
+            spec, attempt, status, detail, wall, event=event,
+            worker=worker.worker_id,
+        )
         for member in worker.batch[worker.acked + 1:]:
             pending.append((0.0, *member))
-        spec, attempt = worker.current()
         verdict = self._poison.record_death(spec.job_id)
         if verdict is not None:
-            quarantine_detail = verdict.render()
-            outcome.failures[spec.job_id] = quarantine_detail
-            if store is not None:
-                store.record_attempt(
-                    spec.job_id, attempt, "quarantined", quarantine_detail
-                )
-                store.record_failure(spec.job_id, quarantine_detail)
-            hub.emit(
-                ev.JOB_QUARANTINED, job_id=spec.job_id, label=spec.label,
-                attempt=attempt, detail=quarantine_detail,
-            )
+            books.attempt_lost(spec, attempt, "quarantined", verdict.render())
+            books.fail(spec, attempt, verdict.render(), ev.JOB_QUARANTINED)
         else:
-            self._retry_or_fail(
-                spec, attempt, detail, True, pending, outcome, store, hub
-            )
+            self._requeue(books, pending, spec, attempt, detail, True)
         if self._circuit.record_death():
             self._halted = self._circuit.render()
-            hub.emit(ev.CIRCUIT_OPEN, detail=self._halted)
+            books.hub.emit(ev.CIRCUIT_OPEN, detail=self._halted)
+
+    @staticmethod
+    def _requeue(books, pending, spec, attempt, detail, retryable) -> None:
+        """Queue the next attempt after its backoff, unless the job failed."""
+        delay = books.retry_or_fail(spec, attempt, detail, retryable)
+        if delay is not None:
+            pending.append((time.monotonic() + delay, spec, attempt + 1))
 
     def _replenish(self, workers, pending, next_worker_id) -> int:
         """Keep the pool sized to the remaining work after kills."""
@@ -1087,40 +1072,6 @@ class WorkerPool:
             workers[next_worker_id] = self._spawn(next_worker_id)
             next_worker_id += 1
         return next_worker_id
-
-    def _retry_or_fail(
-        self, spec, attempt, detail, retryable, pending, outcome, store, hub
-    ) -> None:
-        if retryable and attempt < self.retries:
-            delay = seeded_backoff(
-                self.backoff, attempt + 1, spec.job_id, self.max_backoff
-            )
-            pending.append((time.monotonic() + delay, spec, attempt + 1))
-            hub.emit(
-                ev.JOB_RETRIED, job_id=spec.job_id, label=spec.label,
-                attempt=attempt + 1, detail=detail, delay=delay,
-            )
-            return
-        outcome.failures[spec.job_id] = detail
-        if store is not None:
-            store.record_failure(spec.job_id, detail)
-        hub.emit(
-            ev.JOB_FAILED, job_id=spec.job_id, label=spec.label,
-            attempt=attempt, detail=detail,
-        )
-
-    def _fail_remaining(self, leftovers, outcome, store, hub, detail) -> None:
-        """Circuit open: fail everything still queued or in flight."""
-        for spec, attempt in leftovers:
-            if spec.job_id in outcome.failures:
-                continue
-            outcome.failures[spec.job_id] = detail
-            if store is not None:
-                store.record_failure(spec.job_id, detail)
-            hub.emit(
-                ev.JOB_FAILED, job_id=spec.job_id, label=spec.label,
-                attempt=attempt, detail=detail,
-            )
 
     # -- teardown -------------------------------------------------------
 

@@ -398,12 +398,9 @@ class ResultStore:
             (DONE, wall_time, self._clock(), job_id),
         )
 
-    def record_failure(self, job_id: str, detail: str = "") -> None:
-        self._sql(
-            "UPDATE jobs SET status = ?, updated_at = ? WHERE job_id = ?",
-            (FAILED, self._clock(), job_id),
-        )
-        del detail  # logged per-attempt via record_attempt
+    def record_failure(self, job_id: str) -> None:
+        """Mark the job failed; the why is in its attempt rows."""
+        self._set_status(job_id, FAILED)
 
     def _set_status(self, job_id: str, status: str) -> None:
         self._sql(

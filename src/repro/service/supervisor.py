@@ -15,9 +15,10 @@ One :class:`Supervisor` owns everything below the HTTP layer:
   number; the server streams them as SSE (``id:`` = seq) and
   replays from any acked seq on reconnect.
 * **Degradation ladder** — a circuit-open does not fail the
-  campaign: the supervisor marks it *degraded* and re-runs the
-  unfinished remainder on a fresh fallback pool, a bounded number
-  of times.  Only exhausted ladders report failure.
+  campaign: the supervisor marks it *degraded* and re-runs the jobs
+  the shard store has not finished on a fresh fallback pool, a
+  bounded number of times (no pass when none are left).  Only
+  exhausted ladders report failure.
 * **Drain** — ``begin_drain()`` flips submissions to 503 and asks
   every active runner to stop cooperatively; batches in flight are
   acked and flushed, and interrupted campaigns resume on next boot.
@@ -352,6 +353,7 @@ class Supervisor:
             self._since_ack[cid] = 0
             degrades = 0
             fallback = False
+            todo = specs
             while True:
                 self._circuit[cid] = ""
                 runner = self._make_runner(record, store, stream, fallback)
@@ -366,7 +368,7 @@ class Supervisor:
                     self._ack(record, store)
                     self._finish(record, jn.INTERRUPTED, "drained")
                     return
-                outcome = runner.run(specs, store=store)
+                outcome = runner.run(todo, store=store)
                 if outcome.interrupted:
                     self._ack(record, store)
                     self._finish(
@@ -375,16 +377,21 @@ class Supervisor:
                     )
                     return
                 tripped = self._circuit.get(cid, "")
-                if tripped and degrades < self.config.degrade_limit:
-                    degrades += 1
-                    record.degraded = True
-                    record.detail = tripped
-                    self.journal.append("degraded", id=cid, detail=tripped)
-                    self.registry.upsert(record)
-                    self._emit(record, ev.CAMPAIGN_DEGRADED, detail=tripped)
-                    fallback = True
-                    continue
-                break
+                if not tripped or degrades >= self.config.degrade_limit:
+                    break
+                # A fork-server pool may already have degraded and
+                # finished most jobs itself: fall back over the rest.
+                done = store.completed_ids()
+                todo = [spec for spec in specs if spec.job_id not in done]
+                if not todo:
+                    break
+                degrades += 1
+                record.degraded = True
+                record.detail = tripped
+                self.journal.append("degraded", id=cid, detail=tripped)
+                self.registry.upsert(record)
+                self._emit(record, ev.CAMPAIGN_DEGRADED, detail=tripped)
+                fallback = True
 
             self._ack(record, store)
             summary = store.summary()

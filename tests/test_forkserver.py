@@ -346,7 +346,6 @@ class TestForkServerPool:
         assert not outcome.failures and len(outcome.results) == 10
         assert ev.WORKER_RECYCLED in recorder.kinds()
         assert pool.stats["forkserver.workers.recycled"] >= 2
-        assert pool.metrics.counters["forkserver.workers.recycled"] >= 2
         # recycled workers were actually replaced by fresh processes
         assert len({p["pid"] for p in outcome.results.values()}) >= 2
         assert no_orphans()
@@ -363,10 +362,6 @@ class TestForkServerPool:
         assert ev.RESTORE_DIVERGED in recorder.kinds()
         assert pool.stats["forkserver.restore.diverged"] > 0
         assert pool.stats["forkserver.cold_boots"] > 0
-        assert (
-            pool.metrics.counters["forkserver.restore.diverged"]
-            == pool.stats["forkserver.restore.diverged"]
-        )
         assert no_orphans()
 
     def test_circuit_open_degrades_to_spawn_pool(self):

@@ -43,8 +43,7 @@ from repro.runner import (
 from repro.runner import events as ev
 from repro.runner import jobs as jobs_module
 from repro.runner import pool as pool_module
-from repro.runner.events import EventHub
-from repro.runner.pool import CampaignFailed, _Worker
+from repro.runner.pool import CampaignFailed, _Ledger, _Worker
 from repro.runner.store import (
     SCHEMA_VERSION,
     StorePlanMismatch,
@@ -218,7 +217,7 @@ class TestResultStore:
         spec = selftest("fail")
         with ResultStore() as store:
             store.register([spec])
-            store.record_failure(spec.job_id, "boom")
+            store.record_failure(spec.job_id)
             assert store.summary().failed == 1
             assert store.payload(spec.job_id) is None
 
@@ -266,7 +265,7 @@ class TestGroupCommit:
         store.record_attempt(ok.job_id, 0, "done", "", 0.5)
         store.record_success(ok.job_id, {"n": 1}, 0.5)
         store.record_attempt(bad.job_id, 0, "error", "boom")
-        store.record_failure(bad.job_id, "boom")
+        store.record_failure(bad.job_id)
         store.mark_running(running.job_id)
         store.close()
         with ResultStore(path) as reopened:
@@ -339,9 +338,8 @@ class TestBootGrace:
             )
             workers = {0: worker}
             recorder = EventRecorder()
-            pool._check_liveness(
-                workers, [], pool_module.RunnerOutcome(), None,
-                EventHub(total=1, callback=recorder),
+            pool._check_workers(
+                workers, [], _Ledger([spec], None, recorder, 0, 0.0, 0.0)
             )
             verdicts.append((bool(workers), [
                 event.detail for event in recorder.events
@@ -504,6 +502,66 @@ class TestWorkerPool:
     def test_make_runner_picks_implementation(self):
         assert isinstance(make_runner(jobs=1), SerialRunner)
         assert isinstance(make_runner(jobs=4), WorkerPool)
+
+
+_ENGINES = {
+    "serial": lambda recorder: SerialRunner(retries=1, on_event=recorder),
+    "spawn": lambda recorder: WorkerPool(
+        jobs=2, retries=1, on_event=recorder
+    ),
+    "fork-server": lambda recorder: WorkerPool(
+        jobs=2, retries=1, fork_server=True, batch=2, on_event=recorder
+    ),
+}
+
+
+class TestLedgerContract:
+    """Every engine writes the same books for the same job history."""
+
+    SPECS = [selftest("ok"), selftest("flaky:1"), selftest("fail")]
+
+    @staticmethod
+    def _books(engine, tmp_path):
+        recorder = EventRecorder()
+        path = str(tmp_path / f"{engine}.sqlite")
+        with ResultStore(path) as store:
+            _ENGINES[engine](recorder).run(TestLedgerContract.SPECS, store)
+            statuses = store.statuses()
+        with sqlite3.connect(path) as conn:
+            attempts = conn.execute(
+                "SELECT job_id, attempt, status, detail FROM attempts"
+                " ORDER BY job_id, attempt"
+            ).fetchall()
+        kinds = {}
+        for event in recorder.events:
+            if event.job_id:
+                kinds.setdefault(event.job_id, []).append(event.kind)
+        return attempts, statuses, kinds
+
+    @pytest.mark.parametrize("engine", sorted(_ENGINES))
+    def test_same_attempt_rows_statuses_and_events(self, engine, tmp_path):
+        ok, flaky, fail = (spec.job_id for spec in self.SPECS)
+        attempts, statuses, kinds = self._books(engine, tmp_path)
+        assert attempts == sorted([
+            (ok, 0, "done", ""),
+            (flaky, 0, "error",
+             "TransientJobError: selftest: flaky attempt 0"),
+            (flaky, 1, "done", ""),
+            (fail, 0, "error", "RuntimeError: selftest: permanent failure"),
+        ])
+        assert statuses == {ok: "done", flaky: "done", fail: "failed"}
+        assert kinds == {
+            ok: [ev.JOB_STARTED, ev.JOB_FINISHED],
+            flaky: [
+                ev.JOB_STARTED, ev.JOB_RETRIED, ev.JOB_STARTED,
+                ev.JOB_FINISHED,
+            ],
+            fail: [ev.JOB_STARTED, ev.JOB_FAILED],
+        }
+        if engine != "serial":
+            assert (attempts, statuses, kinds) == self._books(
+                "serial", tmp_path
+            )
 
 
 class TestWorkerStartMethod:

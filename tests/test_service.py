@@ -676,6 +676,44 @@ class TestDegradationLadder:
         finally:
             sup.close()
 
+    def test_fallback_pass_covers_only_unfinished_jobs(
+        self, tmp_path, monkeypatch
+    ):
+        # Fork-started workers inherit the patch and crash on every
+        # job; the pool's own spawn-configuration workers (started from
+        # the preloaded forkserver) do not, so the pool degrades and
+        # finishes most of the plan before the supervisor's ladder
+        # steps in for the jobs that failed.
+        import repro.runner.forkserver as forkserver
+
+        monkeypatch.setattr(
+            forkserver, "execute_job_cached",
+            lambda spec, attempt=0: os._exit(17),
+        )
+        sup = make_supervisor(
+            tmp_path, jobs=2, fork_server=True, batch=1,
+            circuit_threshold=2, retries=0,
+        )
+        plan = {"kind": "selftest", "behaviours": ["ok"] * 6}
+        try:
+            status, payload = sup.submit(plan, "alice")
+            assert status == 202
+            assert sup.run_until_idle(120)
+            assert sup.status(payload["id"])["state"] == "done"
+            events = [
+                r["event"] for r in sup.stream(payload["id"]).read(0)
+            ]
+            kinds = [event["kind"] for event in events]
+            assert "pool-degraded" in kinds
+            assert "job-skipped" not in kinds
+            finished = [
+                event["job_id"] for event in events
+                if event["kind"] == "job-finished"
+            ]
+            assert len(finished) == len(set(finished)) == 6
+        finally:
+            sup.close()
+
 
 # ----------------------------------------------------------------------
 # HTTP server (subprocess): graceful-shutdown edge cases
