@@ -24,8 +24,10 @@ processes accumulate state and cached snapshots can rot, so:
   ``machine_digest``; a mismatch evicts the cache entry, cold-boots a
   fresh testbed, emits a structured ``restore-diverged`` event and is
   counted in the pool's infrastructure ``stats``;
-* workers report RSS and cache counters after every batch, so the
-  pool can **recycle** them after ``recycle_after`` jobs or unbounded
+* every result frame carries what its job did to the worker — the
+  restore-diverged records, the cache-counter delta and the peak RSS —
+  so the pool counts each job exactly once and can **recycle** a
+  worker when a batch takes it to ``recycle_after`` jobs or unbounded
   RSS growth (the same park/reboot discipline ReHype applies to the
   hypervisor itself);
 * repeated worker deaths trip the circuit breaker, and the pool then
@@ -220,10 +222,9 @@ def _forkserver_worker_main(
             target=_beat, daemon=True, name="repro-heartbeat"
         ).start()
     try:
-        outbox.put((worker_id, None, "ready", None, False, 0.0))
+        outbox.put((worker_id, None, "ready", None, False, 0.0, None))
     except OSError:
         return
-    seq = 0
     while True:
         try:
             item = inbox.recv()
@@ -242,35 +243,23 @@ def _forkserver_worker_main(
                 status, payload = "error", f"{type(exc).__name__}: {exc}"
                 retryable = isinstance(exc, TransientJobError)
             wall = time.perf_counter() - started
+            # What this job did to the worker rides on its own result:
+            # the parent applies it only when it acks the result.
+            accounts = (
+                list(_INFRA), dict(_CACHE_STATS),
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            )
             try:
-                for infra in list(_INFRA):
-                    seq += 1
-                    outbox.put(
-                        (
-                            worker_id, spec.job_id, "infra",
-                            dict(infra, seq=seq), False, 0.0,
-                        )
-                    )
-                _INFRA.clear()
                 outbox.put(
-                    (worker_id, spec.job_id, status, payload, retryable, wall)
+                    (
+                        worker_id, spec.job_id, status, payload, retryable,
+                        wall, accounts,
+                    )
                 )
             except OSError:
                 return  # the parent is gone; nobody is listening
-        seq += 1
-        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        counters = dict(_CACHE_STATS)
-        try:
-            outbox.put(
-                (
-                    worker_id, None, "batch-done",
-                    {"seq": seq, "rss_kb": rss_kb, "counters": counters},
-                    False, 0.0,
-                )
-            )
-        except OSError:
-            return
-        _CACHE_STATS.clear()
+            _INFRA.clear()
+            _CACHE_STATS.clear()
 
 
 # ----------------------------------------------------------------------

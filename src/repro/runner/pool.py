@@ -438,8 +438,7 @@ _LIVE_WORKERS: "weakref.WeakSet" = weakref.WeakSet()
 #: on a loaded machine, and killing a booting worker for "no
 #: heartbeat" just reboots the same slow path.
 _BOOT_GRACE = 30.0
-#: How long teardown waits for workers to exit after their sentinel
-#: (and for trailing batch acknowledgements).
+#: How long teardown waits for workers to exit after their sentinel.
 _SHUTDOWN_GRACE = 5.0
 
 #: Jobs shipped to a fork-server worker per dispatch.
@@ -537,18 +536,9 @@ class _Worker:
     acked: int = 0
     #: Jobs served over this worker's whole lifetime.
     served: int = 0
-    #: Peak RSS (KiB) after the worker's first batch — the baseline
-    #: RSS-growth recycling measures against.
+    #: Peak RSS (KiB) reported with the last result of the worker's
+    #: first batch — the baseline RSS-growth recycling measures against.
     baseline_rss: int = 0
-    #: Highest infra/batch-done sequence number seen, for dropping
-    #: chaos-duplicated control messages.
-    infra_seq: int = 0
-    #: Batches sent to the worker, and ``batch-done`` frames received
-    #: back; equal once every batch's counters have been accounted.
-    batches_sent: int = 0
-    batches_done: int = 0
-    retiring: bool = False
-    recycle_reason: str = ""
 
     @property
     def busy(self) -> bool:
@@ -739,13 +729,10 @@ class WorkerPool(_Runner):
                     break
                 self._assign(pending, workers, books)
                 self._drain(workers, pending, books)
-                self._retire_idle(workers, books)
                 self._check_workers(workers, pending, books)
                 next_worker_id = self._replenish(
                     workers, pending, next_worker_id
                 )
-            self._await_batch_done(workers, pending, books)
-            self._retire_idle(workers, books)
             return [(spec, attempt) for _ready, spec, attempt in pending] + [
                 member
                 for worker in workers.values()
@@ -787,7 +774,7 @@ class WorkerPool(_Runner):
     def _assign(self, pending, workers, books) -> None:
         now = time.monotonic()
         for worker in workers.values():
-            if worker.busy or worker.retiring or not pending:
+            if worker.busy or not pending:
                 continue
             indices = [
                 i for i, (ready, _, _) in enumerate(pending) if ready <= now
@@ -809,7 +796,6 @@ class WorkerPool(_Runner):
                         for spec, attempt in worker.batch
                     ]
                 )
-                worker.batches_sent += 1
             except OSError:
                 pass  # worker just died; _check_workers re-queues the batch
             for spec, attempt in worker.batch:
@@ -864,7 +850,7 @@ class WorkerPool(_Runner):
             worker.buffer.extend(chunk)
 
     def _dispatch(self, message, workers, pending, books) -> None:
-        worker_id, job_id, status, payload, retryable, wall = message
+        worker_id, job_id, status, payload, retryable, wall, accounts = message
         worker = workers.get(worker_id)
         if worker is None:
             return  # a replaced or retired worker's late message
@@ -876,25 +862,22 @@ class WorkerPool(_Runner):
             if worker.busy:
                 worker.started_at = time.monotonic()
             return
-        if status in ("infra", "batch-done"):
-            if payload.get("seq", 0) <= worker.infra_seq:
-                return  # chaos-duplicated control message
-            worker.infra_seq = payload["seq"]
-            if status == "infra":
-                self._on_infra(payload, job_id, worker, books)
-            else:
-                worker.batches_done += 1
-                self._on_batch_done(payload, worker)
-            return
         if not worker.busy:
             return  # stale result (a chaos duplicate after batch end)
         spec, attempt = worker.current()
         if spec.job_id != job_id:
             return  # stale or duplicated mid-batch message
+        # Only the acked copy of a frame gets here, so a duplicate's
+        # accounts are dropped together with its result.
         worker.acked += 1
         worker.served += 1
         worker.started_at = time.monotonic()  # the next member's clock
         self._circuit.record_success()  # the worker survived its job
+        infra, counters, rss = accounts
+        for record in infra:
+            self._on_infra(record, job_id, worker, books)
+        for key in sorted(counters):
+            self._count(key, counters[key])
         if status == "done":
             books.finished(spec, attempt, payload, wall, worker=worker_id)
         else:
@@ -904,46 +887,31 @@ class WorkerPool(_Runner):
         if not worker.busy:
             worker.batch = []
             worker.acked = 0
+            self._recycle_if_due(worker, rss, workers, books)
 
-    def _await_batch_done(self, workers, pending, books) -> None:
-        """Drain until every idle worker has acknowledged every batch.
-
-        A batch's trailing ``batch-done`` frame (carrying the worker's
-        cache counters) lands moments after its last result, so the
-        main loop can exit while one or more are still in flight.
-        Workers at EOF and workers still busy (an interrupted or halted
-        campaign) will send nothing more worth waiting for; the wait is
-        bounded by the shutdown grace either way.
-        """
-        deadline = time.monotonic() + _SHUTDOWN_GRACE
-        while time.monotonic() < deadline and any(
-            not w.eof and not w.busy and w.batches_done < w.batches_sent
-            for w in workers.values()
-        ):
-            self._drain(workers, pending, books)
-
-    def _on_infra(self, payload, job_id, worker, books) -> None:
-        if payload.get("kind") == "restore-diverged":
+    def _on_infra(self, record, job_id, worker, books) -> None:
+        if record.get("kind") == "restore-diverged":
             books.hub.emit(
                 ev.RESTORE_DIVERGED,
-                job_id=job_id or "",
+                job_id=job_id,
                 worker=worker.worker_id,
                 detail=(
-                    f"xen-{payload.get('version', '?')}: restored digest "
-                    f"{payload.get('actual', '')[:12]} != checkpoint "
-                    f"{payload.get('expected', '')[:12]}"
+                    f"xen-{record.get('version', '?')}: restored digest "
+                    f"{record.get('actual', '')[:12]} != checkpoint "
+                    f"{record.get('expected', '')[:12]}"
                 ),
             )
 
-    def _on_batch_done(self, payload, worker) -> None:
-        counters = payload.get("counters", {})
-        for key in sorted(counters):
-            self._count(key, counters[key])
-        rss = int(payload.get("rss_kb", 0))
+    def _recycle_if_due(self, worker, rss, workers, books) -> None:
+        """Retire a worker whose batch just ended, if it is due.
+
+        Called when the batch's last member is acked, before the next
+        ``_assign``, so a worker serves at most ``recycle_after +
+        batch - 1`` jobs and every job it served is already counted.
+        """
         if worker.baseline_rss == 0:
             worker.baseline_rss = rss
         grown = rss - worker.baseline_rss
-        reason = ""
         if worker.served >= self.recycle_after:
             reason = (
                 f"served {worker.served} jobs "
@@ -954,39 +922,19 @@ class WorkerPool(_Runner):
                 f"rss grew {grown} KiB over baseline "
                 f"(limit {_MAX_RSS_GROWTH_KB})"
             )
-        if reason and not worker.retiring:
-            worker.retiring = True
-            worker.recycle_reason = reason
-
-    def _retire_idle(self, workers, books) -> None:
-        """Replace every retiring worker whose batches are all accounted.
-
-        The ``batch-done`` that marks a worker retiring can arrive after
-        the next batch was already sent to it.  That batch's own
-        ``batch-done`` trails its last result, so the worker is retired
-        only once it arrives: closing the pipe earlier would lose the
-        batch's counters.  A worker at EOF, or idle for longer than the
-        shutdown grace, is retired without it.
-        """
-        now = time.monotonic()
-        for worker in list(workers.values()):
-            if worker.retiring and not worker.busy and (
-                worker.batches_done >= worker.batches_sent
-                or worker.eof
-                or now - worker.started_at > _SHUTDOWN_GRACE
-            ):
-                books.hub.emit(
-                    ev.WORKER_RECYCLED, worker=worker.worker_id,
-                    detail=worker.recycle_reason,
-                )
-                self._count("forkserver.workers.recycled")
-                workers.pop(worker.worker_id, None)
-                try:
-                    worker.inbox.send(None)
-                except OSError:
-                    pass
-                worker.process.join(timeout=2.0)
-                self._kill(workers, worker)  # force + close pipes if still alive
+        else:
+            return
+        books.hub.emit(
+            ev.WORKER_RECYCLED, worker=worker.worker_id, detail=reason
+        )
+        self._count("forkserver.workers.recycled")
+        workers.pop(worker.worker_id, None)
+        try:
+            worker.inbox.send(None)
+        except OSError:
+            pass
+        worker.process.join(timeout=2.0)
+        self._kill(workers, worker)  # force + close pipes if still alive
 
     def _check_workers(self, workers, pending, books) -> None:
         """One sweep: bury each busy worker that timed out, went silent

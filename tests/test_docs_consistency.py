@@ -88,3 +88,65 @@ class TestPaperMapping:
         for match in set(re.findall(r"`(benchmarks|examples|tests)/([a-z_0-9]+\.py)`", text)):
             directory, name = match
             assert (ROOT / directory / name).exists(), f"{directory}/{name}"
+
+
+class TestQuotedThroughputFigures:
+    """Figures the docs quote from ``runner_throughput.json`` match it.
+
+    Each quoted figure is the artifact's value rounded to the number of
+    decimals the prose shows, so re-archiving the artifact without
+    updating the prose (or the reverse) fails here.
+    """
+
+    @pytest.fixture(scope="class")
+    def artifact(self):
+        import json
+
+        path = ROOT / "benchmarks" / "output" / "runner_throughput.json"
+        return json.loads(path.read_text())
+
+    @staticmethod
+    def _quoted(doc: str, pattern: str) -> tuple:
+        text = " ".join(_text(doc).split())
+        match = re.search(pattern, text)
+        assert match, f"{doc} no longer quotes {pattern!r}"
+        return match.groups()
+
+    @staticmethod
+    def _rounds_to(value: float, quoted: str) -> bool:
+        decimals = len(quoted.partition(".")[2])
+        return f"{value:.{decimals}f}" == quoted
+
+    def _check_restore_vs_boot(self, artifact, doc, pattern):
+        restore, boot = self._quoted(doc, pattern)
+        block = artifact["restore_vs_boot"]
+        assert self._rounds_to(block["restore_ms_p50"], restore), restore
+        assert self._rounds_to(block["boot_ms_p50"], boot), boot
+
+    def test_design_restore_and_boot_times(self, artifact):
+        self._check_restore_vs_boot(
+            artifact, "DESIGN.md",
+            r"restore of a trial-dirtied bed takes ([\d.]+) ms "
+            r"against a ([\d.]+) ms cold boot",
+        )
+
+    def test_experiments_restore_and_boot_times(self, artifact):
+        self._check_restore_vs_boot(
+            artifact, "EXPERIMENTS.md",
+            r"restore` of a trial-dirtied bed took ([\d.]+) ms "
+            r"against a ([\d.]+) ms `build_testbed`",
+        )
+
+    def test_experiments_fork_server_curve(self, artifact):
+        quoted = self._quoted(
+            "EXPERIMENTS.md",
+            r"At 3000 jobs 1 → 2 workers went ([\d.]+) → ([\d.]+) jobs/s, "
+            r"and 4 and 8 workers gave ([\d.]+) and ([\d.]+)",
+        )
+        curve = {
+            row["workers"]: row["jobs_per_s"]
+            for row in artifact["matrix"]
+            if row["mode"] == "fork-server" and row["jobs"] == 3000
+        }
+        for workers, figure in zip((1, 2, 4, 8), quoted):
+            assert self._rounds_to(curve[workers], figure), (workers, figure)

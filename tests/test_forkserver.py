@@ -40,6 +40,7 @@ from repro.core.checkpoint import CheckpointDiverged, TestbedCheckpoint
 from repro.core.fuzz import RandomErroneousStateCampaign
 from repro.core.testbed import build_testbed
 from repro.resilience import RECOVERED, RecoveryManager
+from repro.resilience.chaos import ChaosPlan, ChaosPool
 from repro.runner import (
     EventRecorder,
     ForkServerPool,
@@ -256,10 +257,11 @@ class TestForkServerPool:
         assert served == len(specs)
         assert no_orphans()
 
-    def test_trailing_batch_done_counters_are_never_lost(self):
-        """Every worker's last ``batch-done`` frame (its restore and
-        capture counters) is accounted before ``run`` returns, however
-        the final batches land relative to each other."""
+    def test_final_batches_count_every_trial(self):
+        """Every trial's restore or capture is counted before ``run``
+        returns, however the final batches land relative to each other:
+        the counters ride on the results, so the last result of a run
+        carries the last counters."""
         for round_ in range(20):
             specs = plan_fuzz("4.13", ["idt", "m2p"], 3, 20230701 + round_)
             pool = ForkServerPool(jobs=2, batch=1 + round_ % 3)
@@ -272,16 +274,18 @@ class TestForkServerPool:
         assert no_orphans()
 
     def test_recycled_workers_account_every_batch(self):
-        """A worker marked retiring while its next batch already runs is
-        replaced only after that batch's own ``batch-done``: no counters
-        are lost, and every worker that served ``recycle_after`` trials
-        is recycled exactly once."""
+        """A worker is retired when the batch that takes it to
+        ``recycle_after`` trials is acked, before it gets another: no
+        counters are lost, no worker serves more than ``recycle_after
+        + batch - 1`` trials, and every worker that served
+        ``recycle_after`` trials is recycled exactly once."""
         for round_ in range(24):
             recycle_after = 2 + round_ % 3
+            batch = 2 + round_ % 2
             specs = plan_fuzz("4.13", ["idt", "m2p"], 5, 20231101 + round_)
             recorder = EventRecorder()
             pool = ForkServerPool(
-                jobs=2, batch=2 + round_ % 2, recycle_after=recycle_after,
+                jobs=2, batch=batch, recycle_after=recycle_after,
                 on_event=recorder,
             )
             outcome = pool.run(specs)
@@ -294,11 +298,58 @@ class TestForkServerPool:
                 event.worker for event in recorder.events
                 if event.kind == ev.JOB_FINISHED
             )
+            assert max(per_worker.values()) <= recycle_after + batch - 1, (
+                round_, per_worker,
+            )
             expected = sum(n >= recycle_after for n in per_worker.values())
             assert expected > 0
             recycled = pool.stats.get("forkserver.workers.recycled", 0)
             assert recycled == expected, (round_, per_worker, pool.stats)
             assert recorder.kinds().count(ev.WORKER_RECYCLED) == expected
+        assert no_orphans()
+
+    def test_crash_mid_batch_keeps_finished_members_counters(self):
+        """A worker that dies mid-batch already sent the counters of the
+        members it finished, with their results."""
+        trials = plan_fuzz("4.13", ["idt", "m2p"], 3, 20230701)
+        specs = trials[:3] + [selftest("crash-until:1", "x")] + trials[3:]
+        pool = ForkServerPool(jobs=1, batch=8, retries=1)
+        outcome = pool.run(specs)
+        assert not outcome.failures
+        served = pool.stats.get("forkserver.restores", 0) + pool.stats.get(
+            "forkserver.captures", 0
+        )
+        assert served == 6, pool.stats
+        assert no_orphans()
+
+    def test_duplicated_frames_count_once(self):
+        """Every result frame is delivered twice: each copy carries the
+        same counters and infra records, and only the acked copy's are
+        applied."""
+        plan = ChaosPlan(
+            seed=3, kill_rate=0.0, hang_rate=0.0, dup_rate=1.0,
+            delay_rate=0.5, tear_rate=0.0, corrupt_rate=0.3, wedge_rate=0.0,
+        )
+        specs = plan_fuzz("4.13", ["idt", "m2p"], 6, 777)
+        recorder = EventRecorder()
+        pool = ChaosPool(
+            plan, base_job_fn=execute_job_cached, fork_server=True, jobs=2,
+            batch=3, retries=0, on_event=recorder,
+        )
+        outcome = pool.run(specs)
+        assert not outcome.failures
+        served = pool.stats.get("forkserver.restores", 0) + pool.stats.get(
+            "forkserver.captures", 0
+        )
+        assert served == len(specs), pool.stats
+        finished = Counter(
+            event.job_id for event in recorder.events
+            if event.kind == ev.JOB_FINISHED
+        )
+        assert finished == Counter(spec.job_id for spec in specs)
+        diverged = recorder.kinds().count(ev.RESTORE_DIVERGED)
+        assert diverged > 0
+        assert diverged == pool.stats["forkserver.restore.diverged"]
         assert no_orphans()
 
     def test_crash_mid_batch_salvages_streamed_results(self):
