@@ -299,7 +299,12 @@ class Campaign:
         def audit_before_rollback() -> None:
             audited["state"] = use_case.audit_erroneous_state(bed)
 
-        verdict = watchdog.guard(attack, on_crash=audit_before_rollback)
+        try:
+            verdict = watchdog.guard(attack, on_crash=audit_before_rollback)
+        finally:
+            # The crash probe subscription outlives the attack otherwise,
+            # and a bed reused from a checkpoint would accumulate one per run.
+            watchdog.detach()
         return verdict.recovery, audited.get("state")
 
     # ------------------------------------------------------------------

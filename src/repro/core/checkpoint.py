@@ -1,37 +1,48 @@
-"""Whole-testbed checkpoints for snapshot-cached trial execution.
+"""Whole-testbed checkpoints for snapshot-cached job execution.
 
 The fork-server (:mod:`repro.runner.forkserver`) boots one testbed per
-(Xen version) in each persistent worker, captures a
-:class:`TestbedCheckpoint`, and starts every subsequent trial by
-*restoring* the checkpoint in place instead of rebuilding the machine.
-That only works if restore is an exact inverse, so the checkpoint
-covers three layers:
+(Xen version, topology) in each persistent worker, captures a
+:class:`TestbedCheckpoint`, and starts every later matrix cell or fuzz
+trial by *restoring* the checkpoint in place instead of rebuilding the
+machine.  That only works if restore is an exact inverse of everything
+a job can write, so the checkpoint covers every layer of the bed:
 
 * **machine state** — every frame's words, the blob map and the frame
-  allocator, via :class:`~repro.xen.snapshot.MachineSnapshot` (an
-  exact inverse since the recovery work landed);
-* **hypervisor bookkeeping** — the frame-table records and per-domain
-  p2m maps, exactly what :class:`~repro.resilience.recovery.RecoveryManager`
-  reintegrates after a microreboot, plus crash flags, console and
-  audit rings, and the scheduler's accounting state;
-* **guest-kernel leaf state** — clocks, pid counters, free-page lists,
-  logs and process tables, so a restored bed does not carry one
-  trial's guest-side drift into the next.
+  allocator, via :class:`~repro.xen.snapshot.MachineSnapshot`;
+* **hypervisor bookkeeping** — frame-table records, crash flags,
+  console and audit rings, the domain map and next domain id, and the
+  scheduler's accounting state;
+* **inter-domain channels** — event channels, grant tables, xenstore
+  values and watches, and the testbed network's listeners and
+  connections;
+* **domains and guest kernels** — P2M maps, ``dead``/``paused``, vCPU
+  ``cr3`` and trap tables; kernel clocks, pid counters, free-page
+  lists, logs, processes, received events, driver event handlers,
+  exfiltrated ``loot`` and the filesystem.
 
-Deliberately *not* copied: live object graphs (domains, networks,
-probe buses).  Deep-copying a whole testbed is known-unsafe — clones
-share blob identity with their template, so a trial on the clone can
-corrupt the template — which is why the protocol is capture-once /
-restore-in-place, never a deep copy of the bed.  Every layer is copied
-with a typed, flat copy instead (frame-table records through
+Deep-copying a whole testbed is known-unsafe — clones share blob
+identity with their template, so a job on the clone can corrupt the
+template — which is why the protocol is capture-once /
+restore-in-place, and the live objects themselves (domains, kernels,
+the probe bus and its subscribers) are kept, not copied.  Every layer
+is copied with a typed, flat copy instead (frame-table records through
 :meth:`~repro.xen.frames.FrameTable.copy_info`), which is what keeps a
-restore far cheaper than a cold boot.
+restore far cheaper than a cold boot.  Records the simulator replaces
+rather than mutates (files, xenstore watches, event handlers, a
+connection's shell) are shared; records it mutates in place are copied on capture and
+again on every restore, so the bed never holds a container of the
+checkpoint's.
 
 Every restore is verified: :meth:`TestbedCheckpoint.restore` recomputes
 :func:`~repro.xen.snapshot.machine_digest` and compares it against the
 digest recorded at capture time.  A mismatch raises
 :class:`CheckpointDiverged` — the caller (the fork-server's snapshot
-cache) evicts the entry and falls back to a cold boot.
+cache) evicts the entry and falls back to a cold boot.  Only the
+machine is verified: its snapshot bytes are the part of a cached entry
+that can rot, while the Python layers are rebuilt from the
+checkpoint's private copies on every restore.  That those layers are
+complete is proved by a test that compares a restored bed's whole
+object graph with a fresh boot's, not by a check on the hot path.
 """
 
 from __future__ import annotations
@@ -39,13 +50,17 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.net import Connection, Listener
 from repro.xen.snapshot import MachineSnapshot, machine_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.testbed import TestBed
+    from repro.xen.domain import Domain
+    from repro.xen.events import Channel
     from repro.xen.frames import PageInfo
+    from repro.xen.granttable import GrantTable
 
 
 class CheckpointDiverged(RuntimeError):
@@ -67,9 +82,20 @@ class CheckpointDiverged(RuntimeError):
 
 
 @dataclass
-class _KernelState:
-    """Leaf state of one guest kernel (scalars and flat containers)."""
+class _DomainState:
+    """One domain's mutable state and its guest kernel's.
 
+    Scalars and flat containers only.  Records the simulator replaces
+    rather than mutates (files, event handlers, credentials) are
+    shared with the checkpoint; records it mutates in place
+    (processes) are copied.
+    """
+
+    p2m: list
+    dead: bool
+    paused: bool
+    #: ``(cr3_mfn, trap_table)`` per vCPU.
+    vcpus: List[Tuple[Optional[int], Dict[int, str]]]
     clock: float
     next_pid: int
     booted: bool
@@ -77,6 +103,37 @@ class _KernelState:
     log: List[str]
     processes: list
     events_received: List[int]
+    event_handlers: Dict[int, Callable[[int], None]]
+    loot: List[int]
+    files: dict
+
+
+def _copy_network(
+    listeners: Dict[Tuple[str, int], Listener], connections: List[Connection]
+) -> Tuple[Dict[Tuple[str, int], Listener], List[Connection]]:
+    """Private copies of a network's listeners and connections.
+
+    A connection sits on both its listener and the network's list, so
+    each is copied once and both lists point at the copy.
+    """
+    copies: Dict[int, Connection] = {}
+
+    def copy_of(conn: Connection) -> Connection:
+        copied = copies.get(id(conn))
+        if copied is None:
+            copied = copies[id(conn)] = Connection(
+                conn.from_host, conn.to_host, conn.port, conn.shell,
+                list(conn.transcript),
+            )
+        return copied
+
+    return (
+        {
+            key: Listener(lis.host, lis.port, [copy_of(c) for c in lis.connections])
+            for key, lis in listeners.items()
+        },
+        [copy_of(c) for c in connections],
+    )
 
 
 @dataclass
@@ -87,18 +144,25 @@ class TestbedCheckpoint:
 
     snapshot: MachineSnapshot
     frame_info: Dict[int, "PageInfo"]
-    p2m: Dict[int, list]
-    dead: Dict[int, bool]
     crashed: bool
     crash_banner: Optional[str]
     console: List[str]
     audit: List[Tuple[int, int, int]]
+    domains: Dict[int, "Domain"]
+    next_domid: int
     sched_ticks: int
     sched_trace: list
     sched_pcpus: list
     sched_accounts: dict
+    channels: Dict[Tuple[int, int], "Channel"]
+    next_port: Dict[int, int]
+    pending: Dict[int, List[int]]
+    grant_tables: Dict[int, "GrantTable"]
+    xenstore_values: Dict[str, str]
     watches: list
-    kernels: Dict[int, _KernelState]
+    listeners: Dict[Tuple[str, int], Listener]
+    connections: List[Connection]
+    domain_states: Dict[int, _DomainState]
     #: Machine digest at capture time — what a faithful restore must
     #: reproduce, byte for byte.
     digest: str
@@ -107,10 +171,15 @@ class TestbedCheckpoint:
     def capture(cls, bed: "TestBed") -> "TestbedCheckpoint":
         xen = bed.xen
         sched = xen.scheduler
-        kernels: Dict[int, _KernelState] = {}
+        events = xen.events
+        states: Dict[int, _DomainState] = {}
         for domain in bed.all_domains():
             kernel = domain.kernel
-            kernels[domain.id] = _KernelState(
+            states[domain.id] = _DomainState(
+                p2m=list(domain.p2m),
+                dead=domain.dead,
+                paused=domain.paused,
+                vcpus=[(v.cr3_mfn, dict(v.trap_table)) for v in domain.vcpus],
                 clock=kernel._clock,  # noqa: SLF001 — checkpointing is privileged
                 next_pid=kernel._next_pid,  # noqa: SLF001
                 booted=kernel.booted,
@@ -118,16 +187,22 @@ class TestbedCheckpoint:
                 log=list(kernel.log),
                 processes=[copy.copy(p) for p in kernel.processes],
                 events_received=list(kernel.events_received),
+                event_handlers=dict(kernel._event_handlers),  # noqa: SLF001
+                loot=list(kernel.loot),
+                files=dict(kernel.fs._files),  # noqa: SLF001
             )
+        listeners, connections = _copy_network(
+            bed.network._listeners, bed.network.connections  # noqa: SLF001
+        )
         return cls(
             snapshot=MachineSnapshot.capture(xen.machine),
             frame_info=xen.frames.copy_info(),
-            p2m={d.id: list(d.p2m) for d in bed.all_domains()},
-            dead={d.id: d.dead for d in bed.all_domains()},
             crashed=xen.crashed,
             crash_banner=xen.crash_banner,
             console=list(xen.console),
             audit=list(xen.audit),
+            domains=dict(xen.domains),
+            next_domid=xen.next_domid,
             sched_ticks=sched._ticks,  # noqa: SLF001
             sched_trace=list(sched.trace),
             sched_pcpus=[copy.copy(p) for p in sched.pcpus],
@@ -135,20 +210,31 @@ class TestbedCheckpoint:
                 key: copy.copy(account)
                 for key, account in sched._accounts.items()  # noqa: SLF001
             },
+            channels={
+                key: ch.copy() for key, ch in events._channels.items()  # noqa: SLF001
+            },
+            next_port=dict(events._next_port),  # noqa: SLF001
+            pending={d: list(q) for d, q in events.pending.items()},
+            grant_tables={d: t.copy() for d, t in xen.grants.tables.items()},
+            xenstore_values=dict(xen.xenstore._values),  # noqa: SLF001
             watches=list(xen.xenstore._watches),  # noqa: SLF001
-            kernels=kernels,
+            listeners=listeners,
+            connections=connections,
+            domain_states=states,
             digest=machine_digest(xen.machine),
         )
 
     def restore(self, bed: "TestBed", verify: bool = True) -> int:
         """Roll ``bed`` back to this checkpoint, in place.
 
-        Returns the number of machine words rewritten.  With ``verify``
-        (the default) the restored machine is re-digested and compared
-        against the capture-time digest; a mismatch raises
-        :class:`CheckpointDiverged` *after* the python-level state has
-        been restored — the machine itself is what diverged, so the bed
-        must be discarded either way.
+        Returns the number of machine words rewritten.  Every Python
+        layer is replaced with a fresh copy of the checkpoint's, so no
+        container is ever shared between the bed and the checkpoint.
+        With ``verify`` (the default) the restored machine is
+        re-digested and compared against the capture-time digest; a
+        mismatch raises :class:`CheckpointDiverged` *after* the rest of
+        the bed has been restored — the machine itself is what
+        diverged, so the bed must be discarded either way.
         """
         xen = bed.xen
         rewritten = self.snapshot.restore(xen.machine)
@@ -157,6 +243,8 @@ class TestbedCheckpoint:
         xen.crash_banner = self.crash_banner
         xen.console = deque(self.console, maxlen=xen.console.maxlen)
         xen.audit = deque(self.audit, maxlen=xen.audit.maxlen)
+        xen.domains = dict(self.domains)
+        xen.next_domid = self.next_domid
         sched = xen.scheduler
         sched._ticks = self.sched_ticks  # noqa: SLF001
         sched.trace = list(self.sched_trace)
@@ -165,12 +253,28 @@ class TestbedCheckpoint:
             key: copy.copy(account)
             for key, account in self.sched_accounts.items()
         }
+        events = xen.events
+        events._channels = {  # noqa: SLF001
+            key: ch.copy() for key, ch in self.channels.items()
+        }
+        events._next_port = dict(self.next_port)  # noqa: SLF001
+        events.pending = {d: list(q) for d, q in self.pending.items()}
+        xen.grants.tables = {d: t.copy() for d, t in self.grant_tables.items()}
+        xen.xenstore._values = dict(self.xenstore_values)  # noqa: SLF001
         xen.xenstore._watches = list(self.watches)  # noqa: SLF001
+        network = bed.network
+        network._listeners, network.connections = _copy_network(  # noqa: SLF001
+            self.listeners, self.connections
+        )
         for domain in bed.all_domains():
-            domain.p2m = list(self.p2m[domain.id])
-            domain.dead = self.dead[domain.id]
+            saved = self.domain_states[domain.id]
+            domain.p2m = list(saved.p2m)
+            domain.dead = saved.dead
+            domain.paused = saved.paused
+            for vcpu, (cr3_mfn, trap_table) in zip(domain.vcpus, saved.vcpus):
+                vcpu.cr3_mfn = cr3_mfn
+                vcpu.trap_table = dict(trap_table)
             kernel = domain.kernel
-            saved = self.kernels[domain.id]
             kernel._clock = saved.clock  # noqa: SLF001
             kernel._next_pid = saved.next_pid  # noqa: SLF001
             kernel.booted = saved.booted
@@ -178,6 +282,9 @@ class TestbedCheckpoint:
             kernel.log = list(saved.log)
             kernel.processes = [copy.copy(p) for p in saved.processes]
             kernel.events_received = list(saved.events_received)
+            kernel._event_handlers = dict(saved.event_handlers)  # noqa: SLF001
+            kernel.loot = list(saved.loot)
+            kernel.fs._files = dict(saved.files)  # noqa: SLF001
         if verify:
             actual = machine_digest(xen.machine)
             if actual != self.digest:

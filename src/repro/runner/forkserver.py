@@ -1,18 +1,21 @@
 """Fork-server campaign execution: persistent, snapshot-cached workers.
 
 The spawn configuration of :class:`~repro.runner.pool.WorkerPool`
-builds a fresh testbed per trial (3.0–3.8 ms on a 2-CPU host, against
-about 0.25 ms for the trial itself), and the first pool in a process
+builds a fresh testbed per job (3.0–3.8 ms on a 2-CPU host, against
+about 0.25 ms for a fuzz trial itself), and the first pool in a process
 waits for the stdlib ``forkserver``'s own interpreter boot before its
 first worker starts.  The pool's fork-server configuration
 (``fork_server=True``, or :class:`ForkServerPool`) removes both costs:
 
 * workers start via the ``fork`` context (the parent's warm imports,
   ~2ms, no server to boot);
-* each worker keeps a per-version **snapshot cache**: the first trial
-  of a version boots a testbed and captures a
-  :class:`~repro.core.checkpoint.TestbedCheckpoint`; every later trial
-  *restores* the checkpoint in place instead of rebuilding the machine;
+* each worker keeps a **snapshot cache** keyed by (version,
+  topology): the first matrix cell or classic fuzz trial of a key
+  boots a testbed and captures a
+  :class:`~repro.core.checkpoint.TestbedCheckpoint`; every later one
+  *restores* the checkpoint in place instead of rebuilding the machine
+  (traced, ``--metrics`` and ``--recover`` cells included; synthetic
+  corpus trials and the other job kinds boot cold);
 * jobs travel in **batches** over the per-worker length-prefixed
   pipes, amortizing IPC and scheduling overhead.
 
@@ -23,7 +26,9 @@ processes accumulate state and cached snapshots can rot, so:
 * every restore is **digest-verified** against the checkpoint's
   ``machine_digest``; a mismatch evicts the cache entry, cold-boots a
   fresh testbed, emits a structured ``restore-diverged`` event and is
-  counted in the pool's infrastructure ``stats``;
+  counted in the pool's infrastructure ``stats``.  The Python layers
+  need no such check: each restore rebuilds them from the
+  checkpoint's private copies, and a test proves those are complete;
 * every result frame carries what its job did to the worker — the
   restore-diverged records, the cache-counter delta and the peak RSS —
   so the pool counts each job exactly once and can **recycle** a
@@ -49,12 +54,14 @@ import signal
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.runner.jobs import (
+    CAMPAIGN_RUN,
     FUZZ_TRIAL,
     JobSpec,
     TransientJobError,
+    execute_campaign_run,
     execute_job,
 )
 from repro.runner.pool import JobFn, WorkerPool
@@ -102,20 +109,21 @@ def _reset_worker_cache() -> None:
     _INFRA.clear()
 
 
-def _lease_bed(campaign: Any, spec: JobSpec, attempt: int = 0) -> Any:
-    """A testbed for one trial: restored from cache, or cold-booted.
+def _lease_bed(boot: Callable[[], Any], spec: JobSpec, attempt: int = 0) -> Any:
+    """A testbed for one job: restored from cache, or cold-booted.
 
-    The restore path is digest-verified end to end: a cached snapshot
-    whose restore does not reproduce the capture-time
-    ``machine_digest`` is evicted, the divergence is recorded as a
-    structured infra event, and the trial falls back to the exact
-    cold-boot path a cache miss takes — so a rotten snapshot can cost
-    throughput but never correctness.
+    ``boot`` builds a fresh bed of the spec's version and topology; it
+    runs on a cache miss and after an eviction.  The restore path is
+    digest-verified end to end: a cached snapshot whose restore does
+    not reproduce the capture-time ``machine_digest`` is evicted, the
+    divergence is recorded as a structured infra event, and the job
+    falls back to the exact cold-boot path a cache miss takes — so a
+    rotten snapshot can cost throughput but never correctness.
     """
     from repro.core.checkpoint import CheckpointDiverged, TestbedCheckpoint
 
     # One warm bed per (version, topology): a cached snapshot of the
-    # wrong scenario shape must never serve a trial.
+    # wrong scenario shape must never serve a job.
     key = f"{spec.version}|{spec.topology}" if spec.topology else spec.version
     entry = _CACHE.get(key)
     if entry is not None:
@@ -137,7 +145,7 @@ def _lease_bed(campaign: Any, spec: JobSpec, attempt: int = 0) -> Any:
                     "actual": exc.actual,
                 }
             )
-    bed = campaign.testbed_factory(campaign.version)
+    bed = boot()
     _CACHE[key] = _CacheEntry(
         bed=bed, checkpoint=TestbedCheckpoint.capture(bed)
     )
@@ -146,15 +154,32 @@ def _lease_bed(campaign: Any, spec: JobSpec, attempt: int = 0) -> Any:
 
 
 def execute_job_cached(spec: JobSpec, attempt: int = 0) -> Dict[str, object]:
-    """``execute_job`` with snapshot-cached classic fuzz trials.
+    """``execute_job`` with matrix cells and classic fuzz trials cached.
 
-    Classic (non-synthetic) fuzz trials build their testbed through
-    ``testbed_factory(version)``, so one warm bed per version serves
-    every trial after an exact checkpoint restore.  Every other job
-    kind runs cold through :func:`~repro.runner.jobs.execute_job` —
-    those jobs still gain the fork-server's process reuse and batch
-    IPC, just not the snapshot cache.
+    Both kinds run on a bed leased from the per-worker snapshot cache:
+    one warm bed per (version, topology), restored to its boot-time
+    checkpoint before every job.  The checkpoint covers every layer a
+    job writes, so the payload — and the trace file of a traced cell —
+    is byte-identical to the cold-boot executor's.  Synthetic corpus
+    trials, benchmark cases, test cases and selftests run cold through
+    :func:`~repro.runner.jobs.execute_job` — those jobs still gain the
+    fork-server's process reuse and batch IPC, just not the cache.
     """
+    from repro.xen.versions import version_by_name
+
+    if spec.kind == CAMPAIGN_RUN:
+        from repro.core.testbed import build_testbed
+        from repro.core.topology import ScenarioTopology
+
+        bed = _lease_bed(
+            lambda: build_testbed(
+                version_by_name(spec.version),
+                topology=ScenarioTopology.from_spec_value(spec.topology),
+            ),
+            spec,
+            attempt,
+        )
+        return execute_campaign_run(spec, testbed_factory=lambda _version: bed)
     if spec.kind != FUZZ_TRIAL:
         return execute_job(spec, attempt)
     from repro.vulngen.corpus import is_synthetic_id
@@ -162,10 +187,11 @@ def execute_job_cached(spec: JobSpec, attempt: int = 0) -> Dict[str, object]:
     if is_synthetic_id(spec.use_case):
         return execute_job(spec, attempt)
     from repro.core.fuzz import RandomErroneousStateCampaign
-    from repro.xen.versions import version_by_name
 
     campaign = RandomErroneousStateCampaign(version_by_name(spec.version))
-    bed = _lease_bed(campaign, spec, attempt)
+    bed = _lease_bed(
+        lambda: campaign.testbed_factory(campaign.version), spec, attempt
+    )
     component = campaign.component_by_name(spec.use_case)
     seed = spec.seed if spec.seed is not None else 0
     result = campaign.run_trial_on(bed, component, seed)

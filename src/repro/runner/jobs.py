@@ -23,7 +23,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 
 class TransientJobError(Exception):
@@ -235,7 +235,7 @@ def plan_testcases(names: Sequence[str], version: str) -> List[JobSpec]:
 #: this module, and every module :func:`execute_job`'s branches import
 #: lazily.  :class:`~repro.runner.pool.WorkerPool`'s forkserver imports
 #: them once, so each worker forks with them already loaded.  Keep it
-#: in step with the imports in the ``_execute_*`` functions below.
+#: in step with the imports in the job functions below.
 WORKER_PRELOAD = (
     "repro.runner.forkserver",
     "repro.runner.pool",
@@ -265,7 +265,7 @@ def execute_job(spec: JobSpec, attempt: int = 0) -> Dict[str, object]:
     closures stay on the serial path.
     """
     if spec.kind == CAMPAIGN_RUN:
-        return _execute_campaign_run(spec)
+        return execute_campaign_run(spec)
     if spec.kind == FUZZ_TRIAL:
         return _execute_fuzz_trial(spec)
     if spec.kind == BENCHMARK_CASE:
@@ -277,14 +277,19 @@ def execute_job(spec: JobSpec, attempt: int = 0) -> Dict[str, object]:
     raise ValueError(f"unknown job kind {spec.kind!r}")
 
 
-def _execute_campaign_run(spec: JobSpec) -> Dict[str, object]:
+def execute_campaign_run(
+    spec: JobSpec, testbed_factory: Optional[Callable] = None
+) -> Dict[str, object]:
+    """One matrix cell; ``testbed_factory`` overrides the cold boot."""
     from repro.analysis.report import result_to_dict
     from repro.core.campaign import Campaign, Mode
     from repro.core.injections import resolve
+    from repro.core.testbed import build_testbed
     from repro.core.topology import ScenarioTopology
     from repro.xen.versions import version_by_name
 
     result = Campaign(
+        testbed_factory=testbed_factory or build_testbed,
         recover=spec.recover,
         trace_dir=spec.trace_dir,
         collect_metrics=spec.metrics,

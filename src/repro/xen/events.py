@@ -29,6 +29,13 @@ class Channel:
     remote_domid: Optional[int] = None
     remote_port: Optional[int] = None
 
+    def copy(self) -> "Channel":
+        """An independent channel with the same (scalar) fields."""
+        return Channel(
+            self.port, self.owner_id, self.state, self.remote_domid,
+            self.remote_port,
+        )
+
 
 class EventChannels:
     """Port allocation, binding and notification delivery."""

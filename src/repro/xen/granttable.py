@@ -53,6 +53,15 @@ class GrantTable:
     #: Guest PFNs through which the status frames are mapped.
     status_pfns: List[int] = field(default_factory=list)
 
+    def copy(self) -> "GrantTable":
+        """An independent table: mutating the result never reaches ``self``."""
+        return GrantTable(
+            version=self.version,
+            entries=[GrantEntry(e.flags, e.domid, e.pfn) for e in self.entries],
+            status_frames=list(self.status_frames),
+            status_pfns=list(self.status_pfns),
+        )
+
 
 class GrantTableSubsystem:
     """All domains' grant tables plus the hypercall operations."""

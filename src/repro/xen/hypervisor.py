@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -88,7 +87,8 @@ class Xen:
         self.crashed = False
         self.crash_banner: Optional[str] = None
         self.domains: Dict[int, Domain] = {}
-        self._domid_counter = itertools.count(C.DOM0_ID)
+        #: The id the next :meth:`create_domain` hands out.
+        self.next_domid = C.DOM0_ID
         self.num_pcpus = num_pcpus
 
         self._boot()
@@ -212,7 +212,8 @@ class Xen:
     ) -> Domain:
         """Build a domain: memory, vCPUs, start_info page, M2P entries."""
         self.check_alive()
-        domid = next(self._domid_counter)
+        domid = self.next_domid
+        self.next_domid += 1
         domain = Domain(
             domid=domid,
             name=name,

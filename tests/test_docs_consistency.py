@@ -91,7 +91,10 @@ class TestPaperMapping:
 
 
 class TestQuotedThroughputFigures:
-    """Figures the docs quote from ``runner_throughput.json`` match it.
+    """Figures the docs quote from the throughput artifacts match them.
+
+    ``runner_throughput.json`` backs the fork-server figures and
+    ``service_throughput.json`` the service-overhead ones.
 
     Each quoted figure is the artifact's value rounded to the number of
     decimals the prose shows, so re-archiving the artifact without
@@ -103,6 +106,13 @@ class TestQuotedThroughputFigures:
         import json
 
         path = ROOT / "benchmarks" / "output" / "runner_throughput.json"
+        return json.loads(path.read_text())
+
+    @pytest.fixture(scope="class")
+    def service_artifact(self):
+        import json
+
+        path = ROOT / "benchmarks" / "output" / "service_throughput.json"
         return json.loads(path.read_text())
 
     @staticmethod
@@ -150,3 +160,21 @@ class TestQuotedThroughputFigures:
         }
         for workers, figure in zip((1, 2, 4, 8), quoted):
             assert self._rounds_to(curve[workers], figure), (workers, figure)
+
+    @pytest.mark.parametrize("doc", ["README.md", "EXPERIMENTS.md"])
+    def test_archived_service_overhead_ratio(self, service_artifact, doc):
+        (ratio,) = self._quoted(doc, r"([\d.]+)x archived")
+        assert self._rounds_to(service_artifact["overhead_ratio"], ratio), ratio
+
+    def test_experiments_service_wall_ranges(self, service_artifact):
+        """The archived run is the slowest-service, fastest-pool one of
+        the three quoted, so its walls are the ranges' outer ends."""
+        service_lo, service_hi, direct_lo, direct_hi = self._quoted(
+            "EXPERIMENTS.md",
+            r"wall time \(([\d.]+)–([\d.]+) s vs ([\d.]+)–([\d.]+) s; "
+            r"[\d.]+x archived",
+        )
+        assert self._rounds_to(service_artifact["service"]["wall_s"], service_hi)
+        assert self._rounds_to(service_artifact["direct"]["wall_s"], direct_lo)
+        assert float(service_lo) <= float(service_hi)
+        assert float(direct_lo) <= float(direct_hi)

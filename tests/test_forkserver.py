@@ -10,8 +10,8 @@ Three layers of coverage:
   capture-time table record for record, and no record is shared
   between the live table and the checkpoint;
 * the worker-side snapshot cache (``execute_job_cached``) — byte
-  parity with the cold-boot executor, divergence eviction and
-  cold-boot fallback;
+  parity with the cold-boot executor over fuzz trials and the whole
+  campaign matrix, divergence eviction and cold-boot fallback;
 * :class:`~repro.runner.forkserver.ForkServerPool` (the pool's
   fork-server configuration) — batch dispatch, crash/timeout recovery
   mid-batch, worker recycling, degradation to the spawn configuration,
@@ -38,6 +38,7 @@ from hypothesis import strategies as st
 from repro.cli import main as cli_main
 from repro.core.checkpoint import CheckpointDiverged, TestbedCheckpoint
 from repro.core.fuzz import RandomErroneousStateCampaign
+from repro.core.injections.registry import registered_names
 from repro.core.testbed import build_testbed
 from repro.resilience import RECOVERED, RecoveryManager
 from repro.resilience.chaos import ChaosPlan, ChaosPool
@@ -50,6 +51,7 @@ from repro.runner import (
     WorkerPool,
     execute_job,
     execute_job_cached,
+    plan_campaign,
     plan_fuzz,
 )
 from repro.runner import events as ev
@@ -57,7 +59,7 @@ from repro.runner import forkserver
 from repro.runner.forkserver import _reset_worker_cache, preferred_context
 from repro.xen.frames import PageType
 from repro.xen.snapshot import machine_digest
-from repro.xen.versions import XEN_4_13
+from repro.xen.versions import ALL_VERSIONS, XEN_4_13
 from tests.conftest import CommitCountingStore, churn_frames, frame_table
 
 
@@ -219,6 +221,54 @@ class TestExecuteJobCached:
         # the evicted entry was re-captured: the next trial restores again
         assert execute_job_cached(spec) == reference
         assert forkserver._CACHE_STATS["forkserver.captures"] == 2
+
+    def test_campaign_matrix_parity_with_cold_executor(self):
+        """The 42-cell matrix on three warm beds, one per version."""
+        specs = plan_campaign(
+            list(registered_names()), [v.name for v in ALL_VERSIONS]
+        )
+        assert len(specs) == 42
+        for spec in specs:
+            assert execute_job_cached(spec) == execute_job(spec), spec.label
+        assert forkserver._CACHE_STATS["forkserver.captures"] == 3
+        assert forkserver._CACHE_STATS["forkserver.restores"] == 39
+
+    def test_traced_recovering_metrics_cells_match_cold_runs(self, tmp_path):
+        """Trace files byte-equal; payloads equal but for the recovery
+        wall time, which differs between two cold runs as well."""
+
+        def plan(trace_dir):
+            return plan_campaign(
+                list(registered_names()), ["4.6"], recover=True,
+                trace_dir=str(trace_dir), metrics=True,
+            )
+
+        def untimed(payload):
+            if payload.get("recovery"):
+                payload["recovery"]["wall_time"] = None
+            return payload
+
+        cold = [untimed(execute_job(s)) for s in plan(tmp_path / "cold")]
+        warm = [untimed(execute_job_cached(s)) for s in plan(tmp_path / "warm")]
+        assert warm == cold
+        assert any("recovery" in p for p in cold)
+        assert forkserver._CACHE_STATS["forkserver.restores"] == len(cold) - 1
+        names = sorted(os.listdir(tmp_path / "cold"))
+        assert names and names == sorted(os.listdir(tmp_path / "warm"))
+        for name in names:
+            assert (tmp_path / "warm" / name).read_bytes() == (
+                tmp_path / "cold" / name
+            ).read_bytes(), name
+
+    def test_rotten_cache_cold_boots_a_campaign_cell_identically(self):
+        spec = plan_campaign(["xdom-ring-tamper"], ["4.6"], ["exploit"])[0]
+        reference = execute_job(spec)
+        assert execute_job_cached(spec) == reference  # populates the cache
+        _corrupt(forkserver._CACHE[spec.version].checkpoint)
+        assert execute_job_cached(spec) == reference  # detected, cold-booted
+        assert forkserver._CACHE_STATS["forkserver.restore.diverged"] == 1
+        assert forkserver._CACHE_STATS["forkserver.cold_boots"] == 1
+        assert [e["kind"] for e in forkserver._INFRA] == ["restore-diverged"]
 
     def test_non_fuzz_jobs_fall_through(self):
         spec = selftest("ok")
