@@ -224,17 +224,17 @@ class TestbedCheckpoint:
             digest=machine_digest(xen.machine),
         )
 
-    def restore(self, bed: "TestBed", verify: bool = True) -> int:
+    def restore(self, bed: "TestBed") -> int:
         """Roll ``bed`` back to this checkpoint, in place.
 
         Returns the number of machine words rewritten.  Every Python
         layer is replaced with a fresh copy of the checkpoint's, so no
         container is ever shared between the bed and the checkpoint.
-        With ``verify`` (the default) the restored machine is
-        re-digested and compared against the capture-time digest; a
-        mismatch raises :class:`CheckpointDiverged` *after* the rest of
-        the bed has been restored — the machine itself is what
-        diverged, so the bed must be discarded either way.
+        The restored machine is re-digested and compared against the
+        capture-time digest; a mismatch raises
+        :class:`CheckpointDiverged` *after* the rest of the bed has been
+        restored — the machine itself is what diverged, so the bed must
+        be discarded either way.
         """
         xen = bed.xen
         rewritten = self.snapshot.restore(xen.machine)
@@ -285,10 +285,9 @@ class TestbedCheckpoint:
             kernel._event_handlers = dict(saved.event_handlers)  # noqa: SLF001
             kernel.loot = list(saved.loot)
             kernel.fs._files = dict(saved.files)  # noqa: SLF001
-        if verify:
-            actual = machine_digest(xen.machine)
-            if actual != self.digest:
-                raise CheckpointDiverged(self.digest, actual)
+        actual = machine_digest(xen.machine)
+        if actual != self.digest:
+            raise CheckpointDiverged(self.digest, actual)
         return rewritten
 
     def verify(self, bed: "TestBed") -> bool:

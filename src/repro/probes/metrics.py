@@ -38,7 +38,7 @@ class MetricsCollector:
 
     def __init__(
         self,
-        bus: Optional[ProbeBus] = None,
+        bus: ProbeBus,
         clock: Callable[[], float] = time.perf_counter,
     ):
         self.bus = bus
@@ -53,11 +53,6 @@ class MetricsCollector:
 
     def attach(self) -> "MetricsCollector":
         """Subscribe to every probe point (all-or-nothing)."""
-        if self.bus is None:
-            # Bus-less collectors are plain counter sinks (the
-            # fork-server's infrastructure metrics use one); there is
-            # no probe traffic to subscribe to.
-            raise RuntimeError("metrics collector has no probe bus to attach")
         if self._attachment is not None:
             raise RuntimeError("metrics collector is already attached")
         subscriptions = [(name, self) for name in P.OP_POINTS]
@@ -173,14 +168,13 @@ class MetricsCollector:
     def count(self, key: str, n: int = 1) -> None:
         """Add ``n`` to a counter directly (no probe traffic involved).
 
-        The fork-server records its infrastructure counters —
-        ``forkserver.restores``, ``forkserver.restore.diverged``,
-        ``forkserver.cold_boots``, ``forkserver.workers.recycled`` —
-        through this entry point.  Infrastructure counters describe
-        *how* a campaign executed, never *what* it computed, so they
-        live in a separate bus-less collector and are never folded
-        into a trial's persisted counters (which must stay identical
-        between serial, spawn-pool and fork-server execution).
+        :class:`~repro.core.campaign.Campaign` stamps a non-default
+        scenario's ``topology.domains`` this way.  Infrastructure
+        counters (``forkserver.restores`` and the like) never come
+        here: they describe *how* a campaign executed, not *what* it
+        computed, so they live only in the pool's ``stats`` and never
+        in a trial's persisted counters, which must stay identical
+        between serial, spawn-pool and fork-server execution.
         """
         self.counters[key] = self.counters.get(key, 0) + n
 

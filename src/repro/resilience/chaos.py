@@ -30,6 +30,13 @@ Fork-server faults are selected with ``pool_mode="fork-server"`` in
 chaos spawn-pool and chaos fork-server executions must all leave the
 same store bytes.
 
+The harness never picks an executor.  :class:`ChaosPool` overrides
+only the pool's two fault hooks: :class:`ChaosOutbox` wraps each
+worker's result channel (duplicates, delays), and :class:`ForkChaos`
+is the one worker-side injector — kills and hangs before a job,
+corruptions and wedges before a cached restore — in both pool
+configurations.
+
 Every fault decision is a pure function of ``(seed, episode, job)`` —
 no global RNG state — so a chaos run is exactly replayable.
 :func:`run_chaos_campaign` drives episodes (run, maybe tear, resume)
@@ -49,9 +56,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.runner.forkserver import execute_job_cached
-from repro.runner.jobs import CAMPAIGN_RUN, JobSpec, execute_job
-from repro.runner.pool import JobFn, SerialRunner, WorkerPool
+from repro.runner.jobs import CAMPAIGN_RUN, JobSpec
+from repro.runner.pool import SerialRunner, WorkerPool
 from repro.runner.store import ResultStore, StoreCorrupt
 
 
@@ -123,29 +129,6 @@ class ChaosPlan:
         return chaos_roll(self.seed, episode, "wedge", job_id) < self.wedge_rate
 
 
-@dataclass
-class ChaosJobFn:
-    """Worker-side fault injector wrapping the real job function.
-
-    A plain picklable dataclass: it crosses the ``spawn`` boundary as
-    a :class:`~repro.runner.pool.WorkerPool` ``job_fn``.  Faults fire
-    only on attempt 0, so the runner's own retry machinery (not the
-    harness) is what brings the job home.
-    """
-
-    plan: ChaosPlan
-    episode: int = 1
-    job_fn: JobFn = execute_job
-
-    def __call__(self, spec: JobSpec, attempt: int) -> dict:
-        if attempt == 0:
-            if self.plan.kills(self.episode, spec.job_id):
-                os.kill(os.getpid(), signal.SIGKILL)
-            if self.plan.hangs(self.episode, spec.job_id):
-                time.sleep(self.plan.hang_seconds)
-        return self.job_fn(spec, attempt)
-
-
 class ChaosOutbox:
     """Result-channel wrapper injecting delivery delays and duplicates.
 
@@ -175,12 +158,17 @@ class ChaosOutbox:
 
 @dataclass
 class ForkChaos:
-    """Worker-side snapshot-cache fault injector (fork-server mode).
+    """The worker-side fault injector, in both pool configurations.
 
     A picklable dataclass handed to workers through
-    :meth:`~repro.runner.pool.WorkerPool._restore_chaos`; it
-    runs immediately before each cached checkpoint restore.  Faults
-    fire on first attempts only, like :class:`ChaosJobFn`'s:
+    :meth:`~repro.runner.pool.WorkerPool._worker_faults`.  Faults fire
+    on first attempts only, so the runner's own retry machinery (not
+    the harness) is what brings the job home.  Before every job:
+
+    * **kill** — the worker SIGKILLs itself;
+    * **hang** — the job sleeps past the pool's timeout.
+
+    Before every cached checkpoint restore (fork-server mode):
 
     * **corrupt** — flip one word of the cached snapshot's frame
       bytes.  The restore writes the rotten word into the machine, the
@@ -192,6 +180,14 @@ class ForkChaos:
 
     plan: ChaosPlan
     episode: int = 1
+
+    def before_job(self, job_id: str, attempt: int) -> None:
+        if attempt != 0:
+            return
+        if self.plan.kills(self.episode, job_id):
+            os.kill(os.getpid(), signal.SIGKILL)
+        if self.plan.hangs(self.episode, job_id):
+            time.sleep(self.plan.hang_seconds)
 
     def before_restore(self, entry, job_id: str, attempt: int) -> None:
         if attempt != 0:
@@ -211,22 +207,15 @@ class ForkChaos:
 class ChaosPool(WorkerPool):
     """A :class:`WorkerPool` under the full chaos fault set.
 
-    Workers get killed and hung mid-job through :class:`ChaosJobFn`,
-    the transport duplicates and delays through :class:`ChaosOutbox`,
-    and the snapshot cache misbehaves through :class:`ForkChaos` (only
-    the fork-server configuration's cached job function restores).
+    It overrides only the pool's two fault hooks: the transport
+    duplicates and delays through :class:`ChaosOutbox`, and workers are
+    killed and hung, and the snapshot cache misbehaves, through
+    :class:`ForkChaos`.  The executor is the configuration's own, so a
+    fork-server pool serves from the cache and a degraded pass runs
+    cold.
     """
 
-    def __init__(
-        self,
-        plan: ChaosPlan,
-        episode: int = 1,
-        base_job_fn: JobFn = execute_job,
-        **kwargs,
-    ):
-        kwargs.setdefault(
-            "job_fn", ChaosJobFn(plan=plan, episode=episode, job_fn=base_job_fn)
-        )
+    def __init__(self, plan: ChaosPlan, episode: int = 1, **kwargs):
         super().__init__(**kwargs)
         self.plan = plan
         self.episode = episode
@@ -234,7 +223,7 @@ class ChaosPool(WorkerPool):
     def _wrap_outbox(self, channel):
         return ChaosOutbox(channel, self.plan, self.episode)
 
-    def _restore_chaos(self):
+    def _worker_faults(self):
         return ForkChaos(plan=self.plan, episode=self.episode)
 
 
@@ -372,7 +361,6 @@ def run_chaos_campaign(
     jobs: int = 2,
     timeout: float = 10.0,
     plan: Optional[ChaosPlan] = None,
-    base_job_fn: JobFn = execute_job,
     max_episodes: int = 10,
     on_event: Optional[Callable] = None,
     trace_dir: Optional[str] = None,
@@ -409,12 +397,8 @@ def run_chaos_campaign(
     specs = list(specs)
     plan = plan or ChaosPlan(seed=seed, hang_seconds=max(timeout * 3, 1.0))
     fork_server = pool_mode == "fork-server"
-    pool_job_fn = base_job_fn
-    if fork_server:
-        if base_job_fn is execute_job:
-            pool_job_fn = execute_job_cached
-        if plan.corrupt_rate == 0.0 and plan.wedge_rate == 0.0:
-            plan = replace(plan, corrupt_rate=0.25, wedge_rate=0.25)
+    if fork_server and plan.corrupt_rate == 0.0 and plan.wedge_rate == 0.0:
+        plan = replace(plan, corrupt_rate=0.25, wedge_rate=0.25)
     report = ChaosReport(seed=seed, total_jobs=len(specs))
 
     serial_trace_dir = chaos_trace_dir = None
@@ -430,8 +414,7 @@ def run_chaos_campaign(
         specs = [replace(s, trace_dir=chaos_trace_dir) for s in specs]
 
     with ResultStore() as reference:
-        serial = SerialRunner(retries=0, job_fn=base_job_fn)
-        serial.run(serial_specs, store=reference)
+        SerialRunner(retries=0).run(serial_specs, store=reference)
         report.serial_json = _store_fingerprint(reference, serial_specs)
 
     good_copy = store_path + ".good"
@@ -450,7 +433,6 @@ def run_chaos_campaign(
         pool = ChaosPool(
             plan=plan,
             episode=episode,
-            base_job_fn=pool_job_fn,
             fork_server=fork_server,
             jobs=jobs,
             timeout=timeout,
@@ -496,9 +478,7 @@ def run_chaos_campaign(
             # A tear may have eaten completed episodes; one clean
             # (fault-free) pass over the restored store finishes the
             # stragglers through the ordinary resume path.
-            SerialRunner(
-                retries=2, job_fn=base_job_fn, on_event=on_event
-            ).run(specs, store=final)
+            SerialRunner(retries=2, on_event=on_event).run(specs, store=final)
         report.chaos_json = _store_fingerprint(final, specs)
     finally:
         final.close()

@@ -20,8 +20,13 @@ first worker starts.  The pool's fork-server configuration
   pipes, amortizing IPC and scheduling overhead.
 
 This module holds the worker side of every pool: the snapshot cache
-(:func:`execute_job_cached`) and the one worker main.  Persistent
-processes accumulate state and cached snapshots can rot, so:
+and the one worker main.  The cache is only a testbed source —
+:func:`execute_job_cached` is :func:`~repro.runner.jobs.execute_job`
+with :func:`_lease_bed` as its lease, so what a job kind does is
+decided in one place for every engine.  The worker main also runs the
+pool's worker-fault hook (the chaos harness's kills, hangs, snapshot
+corruptions and restore wedges) before each job and each restore.
+Persistent processes accumulate state and cached snapshots can rot, so:
 
 * every restore is **digest-verified** against the checkpoint's
   ``machine_digest``; a mismatch evicts the cache entry, cold-boots a
@@ -53,17 +58,10 @@ import resource
 import signal
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.runner.jobs import (
-    CAMPAIGN_RUN,
-    FUZZ_TRIAL,
-    JobSpec,
-    TransientJobError,
-    execute_campaign_run,
-    execute_job,
-)
+from repro.runner.jobs import JobSpec, TransientJobError, execute_job
 from repro.runner.pool import JobFn, WorkerPool
 
 
@@ -81,9 +79,9 @@ def preferred_context() -> str:
 # ----------------------------------------------------------------------
 #
 # Module-level state is deliberate: each worker is its own process, so
-# these globals are per-worker.  ``execute_job_cached`` is a plain
-# picklable function, which lets the chaos harness compose it under
-# its own fault-injecting job_fn wrapper.
+# these globals are per-worker, and ``execute_job_cached`` stays a
+# plain picklable function.  ``_FAULTS`` is the pool's worker-fault
+# injector (see ``WorkerPool._worker_faults``), or None.
 
 
 @dataclass
@@ -95,7 +93,7 @@ class _CacheEntry:
 _CACHE: Dict[str, _CacheEntry] = {}
 _CACHE_STATS: Dict[str, int] = {}
 _INFRA: List[dict] = []
-_RESTORE_CHAOS: Optional[Any] = None
+_FAULTS: Optional[Any] = None
 
 
 def _stat(key: str, n: int = 1) -> None:
@@ -109,7 +107,7 @@ def _reset_worker_cache() -> None:
     _INFRA.clear()
 
 
-def _lease_bed(boot: Callable[[], Any], spec: JobSpec, attempt: int = 0) -> Any:
+def _lease_bed(spec: JobSpec, attempt: int, boot: Callable[[], Any]) -> Any:
     """A testbed for one job: restored from cache, or cold-booted.
 
     ``boot`` builds a fresh bed of the spec's version and topology; it
@@ -127,8 +125,8 @@ def _lease_bed(boot: Callable[[], Any], spec: JobSpec, attempt: int = 0) -> Any:
     key = f"{spec.version}|{spec.topology}" if spec.topology else spec.version
     entry = _CACHE.get(key)
     if entry is not None:
-        if _RESTORE_CHAOS is not None:
-            _RESTORE_CHAOS.before_restore(entry, spec.job_id, attempt)
+        if _FAULTS is not None:
+            _FAULTS.before_restore(entry, spec.job_id, attempt)
         try:
             entry.checkpoint.restore(entry.bed)
             _stat("forkserver.restores")
@@ -154,48 +152,18 @@ def _lease_bed(boot: Callable[[], Any], spec: JobSpec, attempt: int = 0) -> Any:
 
 
 def execute_job_cached(spec: JobSpec, attempt: int = 0) -> Dict[str, object]:
-    """``execute_job`` with matrix cells and classic fuzz trials cached.
+    """:func:`~repro.runner.jobs.execute_job` on beds from the snapshot cache.
 
-    Both kinds run on a bed leased from the per-worker snapshot cache:
-    one warm bed per (version, topology), restored to its boot-time
-    checkpoint before every job.  The checkpoint covers every layer a
-    job writes, so the payload — and the trace file of a traced cell —
-    is byte-identical to the cold-boot executor's.  Synthetic corpus
-    trials, benchmark cases, test cases and selftests run cold through
-    :func:`~repro.runner.jobs.execute_job` — those jobs still gain the
-    fork-server's process reuse and batch IPC, just not the cache.
+    Matrix cells and classic fuzz trials lease their bed from
+    :func:`_lease_bed`: one warm bed per (version, topology), restored
+    to its boot-time checkpoint before every job.  The checkpoint
+    covers every layer a job writes, so the payload — and the trace
+    file of a traced cell — is byte-identical to the cold-boot
+    executor's.  Every other kind takes no lease and runs exactly as
+    under ``execute_job``, still gaining the fork-server's process
+    reuse and batch IPC.
     """
-    from repro.xen.versions import version_by_name
-
-    if spec.kind == CAMPAIGN_RUN:
-        from repro.core.testbed import build_testbed
-        from repro.core.topology import ScenarioTopology
-
-        bed = _lease_bed(
-            lambda: build_testbed(
-                version_by_name(spec.version),
-                topology=ScenarioTopology.from_spec_value(spec.topology),
-            ),
-            spec,
-            attempt,
-        )
-        return execute_campaign_run(spec, testbed_factory=lambda _version: bed)
-    if spec.kind != FUZZ_TRIAL:
-        return execute_job(spec, attempt)
-    from repro.vulngen.corpus import is_synthetic_id
-
-    if is_synthetic_id(spec.use_case):
-        return execute_job(spec, attempt)
-    from repro.core.fuzz import RandomErroneousStateCampaign
-
-    campaign = RandomErroneousStateCampaign(version_by_name(spec.version))
-    bed = _lease_bed(
-        lambda: campaign.testbed_factory(campaign.version), spec, attempt
-    )
-    component = campaign.component_by_name(spec.use_case)
-    seed = spec.seed if spec.seed is not None else 0
-    result = campaign.run_trial_on(bed, component, seed)
-    return asdict(result)
+    return execute_job(spec, attempt, lease=_lease_bed)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +178,7 @@ def _forkserver_worker_main(
     outbox: Any,
     heartbeat: Any = None,
     beat_interval: float = 0.2,
-    restore_chaos: Optional[Any] = None,
+    faults: Optional[Any] = None,
 ) -> None:
     """The worker loop of every pool: take a batch, stream results, repeat.
 
@@ -232,8 +200,8 @@ def _forkserver_worker_main(
     # parent process ever ran execute_job_cached itself, that includes
     # its snapshot cache and counters.  Start from a clean slate.
     _reset_worker_cache()
-    global _RESTORE_CHAOS
-    _RESTORE_CHAOS = restore_chaos
+    global _FAULTS
+    _FAULTS = faults
     parent_pid = os.getppid()
     if heartbeat is not None:
 
@@ -264,6 +232,8 @@ def _forkserver_worker_main(
             status, retryable = "done", False
             payload: object
             try:
+                if faults is not None:
+                    faults.before_job(spec.job_id, attempt)
                 payload = job_fn(spec, attempt)
             except BaseException as exc:  # noqa: BLE001 - isolation boundary
                 status, payload = "error", f"{type(exc).__name__}: {exc}"

@@ -9,10 +9,12 @@ is what makes stores resumable: the same campaign planned twice yields
 the same IDs, so completed work is recognisable across processes and
 across re-launches.
 
-:func:`execute_job` is the worker-side interpreter: given a spec (and
-nothing else — workers share no state with the parent), it boots a
-fresh testbed, runs the experiment, and returns a plain-dict payload
-that survives pickling and JSON storage.
+:func:`execute_job` is the one job interpreter, used by every engine:
+given a spec (and nothing else — workers share no state with the
+parent), it runs the experiment and returns a plain-dict payload that
+survives pickling and JSON storage.  Campaign cells and classic fuzz
+trials get their testbed through a lease: a fresh boot by default, a
+restored snapshot under the fork-server's cache.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 
 class TransientJobError(Exception):
@@ -254,20 +256,37 @@ WORKER_PRELOAD = (
 )
 
 
-def execute_job(spec: JobSpec, attempt: int = 0) -> Dict[str, object]:
-    """Run one job from scratch and return a picklable payload.
+#: How a job gets its testbed: ``lease(spec, attempt, boot)`` returns
+#: the bed the job runs on, where ``boot()`` cold-boots one of the
+#: spec's version and topology.
+Lease = Callable[[JobSpec, int, Callable[[], Any]], Any]
 
-    Each invocation boots its own fresh testbed; nothing is shared with
-    the parent process, which is what gives the pool hard crash
-    isolation.  Parallel execution resolves names against the default
-    registries (use cases, fuzz components, benchmark suite), so only
-    default-configured experiments are parallelizable — custom
-    closures stay on the serial path.
+
+def _boot_fresh(spec: JobSpec, attempt: int, boot: Callable[[], Any]) -> Any:
+    """The default lease: every job boots its own fresh testbed."""
+    return boot()
+
+
+def execute_job(
+    spec: JobSpec, attempt: int = 0, *, lease: Lease = _boot_fresh
+) -> Dict[str, object]:
+    """Run one job and return a picklable payload.
+
+    The only code that decides what a job kind does.  Campaign cells
+    and classic fuzz trials take their testbed from ``lease``: by
+    default a fresh boot, so nothing is shared with the parent process,
+    which is what gives the pool hard crash isolation; the fork-server
+    passes its snapshot cache instead
+    (:func:`~repro.runner.forkserver.execute_job_cached`).  Parallel
+    execution resolves names against the default registries (use
+    cases, fuzz components, benchmark suite), so only default-configured
+    experiments are parallelizable — custom closures stay on the serial
+    path.
     """
     if spec.kind == CAMPAIGN_RUN:
-        return execute_campaign_run(spec)
+        return _execute_campaign_run(spec, attempt, lease)
     if spec.kind == FUZZ_TRIAL:
-        return _execute_fuzz_trial(spec)
+        return _execute_fuzz_trial(spec, attempt, lease)
     if spec.kind == BENCHMARK_CASE:
         return _execute_benchmark_case(spec)
     if spec.kind == TESTCASE:
@@ -277,10 +296,9 @@ def execute_job(spec: JobSpec, attempt: int = 0) -> Dict[str, object]:
     raise ValueError(f"unknown job kind {spec.kind!r}")
 
 
-def execute_campaign_run(
-    spec: JobSpec, testbed_factory: Optional[Callable] = None
+def _execute_campaign_run(
+    spec: JobSpec, attempt: int, lease: Lease
 ) -> Dict[str, object]:
-    """One matrix cell; ``testbed_factory`` overrides the cold boot."""
     from repro.analysis.report import result_to_dict
     from repro.core.campaign import Campaign, Mode
     from repro.core.injections import resolve
@@ -288,25 +306,28 @@ def execute_campaign_run(
     from repro.core.topology import ScenarioTopology
     from repro.xen.versions import version_by_name
 
+    version = version_by_name(spec.version)
+    topology = ScenarioTopology.from_spec_value(spec.topology)
+    bed = lease(
+        spec, attempt, lambda: build_testbed(version, topology=topology)
+    )
     result = Campaign(
-        testbed_factory=testbed_factory or build_testbed,
+        testbed_factory=lambda _version: bed,
         recover=spec.recover,
         trace_dir=spec.trace_dir,
         collect_metrics=spec.metrics,
-        topology=ScenarioTopology.from_spec_value(spec.topology),
-    ).run(
-        resolve(spec.use_case),
-        version_by_name(spec.version),
-        Mode(spec.mode),
-    )
+        topology=topology,
+    ).run(resolve(spec.use_case), version, Mode(spec.mode))
     return result_to_dict(result)
 
 
-def _execute_fuzz_trial(spec: JobSpec) -> Dict[str, object]:
+def _execute_fuzz_trial(
+    spec: JobSpec, attempt: int, lease: Lease
+) -> Dict[str, object]:
+    from repro.vulngen.corpus import is_synthetic_id
     from repro.xen.versions import version_by_name
 
-    from repro.vulngen.corpus import is_synthetic_id
-
+    seed = spec.seed if spec.seed is not None else 0
     if is_synthetic_id(spec.use_case):
         # Synthetic corpus trial: the id alone re-derives the full
         # spec, so workers need no shared state.  ``mode`` carries the
@@ -317,7 +338,7 @@ def _execute_fuzz_trial(spec: JobSpec) -> Dict[str, object]:
         result = run_synthetic_trial(
             spec_by_id(spec.use_case),
             version_by_name(spec.version),
-            spec.seed if spec.seed is not None else 0,
+            seed,
             mutation=spec.mode or "baseline",
             collect_coverage=spec.metrics,
         )
@@ -325,8 +346,11 @@ def _execute_fuzz_trial(spec: JobSpec) -> Dict[str, object]:
     from repro.core.fuzz import RandomErroneousStateCampaign
 
     campaign = RandomErroneousStateCampaign(version_by_name(spec.version))
-    result = campaign.replay(spec.use_case, spec.seed)
-    return asdict(result)
+    component = campaign.component_by_name(spec.use_case)
+    bed = lease(
+        spec, attempt, lambda: campaign.testbed_factory(campaign.version)
+    )
+    return asdict(campaign.run_trial_on(bed, component, seed))
 
 
 def _execute_benchmark_case(spec: JobSpec) -> Dict[str, object]:

@@ -21,8 +21,8 @@ a pool of ``multiprocessing`` workers, in one of two configurations:
   take one job per dispatch and boot a fresh testbed for each.
 * **fork-server** (``fork_server=True``, see
   :mod:`repro.runner.forkserver`) — workers fork from this process,
-  take jobs in batches and serve classic fuzz trials from a
-  digest-verified snapshot cache.
+  take jobs in batches and serve matrix cells and classic fuzz trials
+  from a digest-verified snapshot cache.
 
 The parent owns all scheduling state and the result store, which buys
 properties the serial campaign loop cannot offer:
@@ -580,7 +580,8 @@ class WorkerPool(_Runner):
     * **fork-server**: workers fork from this process (the ``fork``
       context), take ``batch`` jobs per dispatch and run
       :func:`~repro.runner.forkserver.execute_job_cached`, which serves
-      classic fuzz trials from a digest-verified snapshot cache.
+      matrix cells and classic fuzz trials from a digest-verified
+      snapshot cache.
 
     Both run the same loop: the same worker main, worker-death sweep
     and recycling.  When the circuit breaker opens in the
@@ -641,14 +642,14 @@ class WorkerPool(_Runner):
         """Per-worker result-channel hook — the chaos harness wraps it."""
         return channel
 
-    def _restore_chaos(self) -> Optional[Any]:
-        """Worker-side restore fault injector — chaos harness hook.
+    def _worker_faults(self) -> Optional[Any]:
+        """Worker-side fault injector — the chaos harness hook.
 
-        Must return a picklable object with a
-        ``before_restore(entry, job_id, attempt)`` method (or None).
-        It runs in the worker immediately before each cached restore,
-        which is where the chaos harness corrupts snapshot bytes and
-        wedges restores.
+        Must return a picklable object (or None) with two methods the
+        worker calls: ``before_job(job_id, attempt)`` before every job,
+        where the chaos harness kills and hangs workers, and
+        ``before_restore(entry, job_id, attempt)`` before every cached
+        restore, where it corrupts snapshot bytes and wedges restores.
         """
         return None
 
@@ -656,7 +657,7 @@ class WorkerPool(_Runner):
 
     def _execute(self, books: _Ledger, stopped: Callable[[], bool]) -> None:
         self.stats = {}
-        remaining = books.remaining
+        remaining = [(spec, 0) for spec in books.remaining]
         fork_server = self.fork_server
         while remaining:
             leftovers = self._run_pass(remaining, fork_server, books, stopped)
@@ -666,8 +667,10 @@ class WorkerPool(_Runner):
                 for spec, attempt in leftovers:
                     books.fail(spec, attempt, self._halted)
                 return
-            unfinished = {spec.job_id for spec, _attempt in leftovers}
-            remaining = [s for s in books.specs if s.job_id in unfinished]
+            # The degraded pass resumes each job at its next attempt,
+            # in plan order.
+            order = {spec.job_id: i for i, spec in enumerate(books.specs)}
+            remaining = sorted(leftovers, key=lambda m: order[m[0].job_id])
             books.hub.emit(
                 ev.POOL_DEGRADED,
                 detail=(
@@ -702,9 +705,10 @@ class WorkerPool(_Runner):
     # -- scheduling internals ------------------------------------------
 
     def _run_pass(
-        self, specs, fork_server, books, stopped
+        self, jobs, fork_server, books, stopped
     ) -> List[Tuple[JobSpec, int]]:
-        """Run ``specs`` in one configuration until done or stopped.
+        """Run ``jobs`` — (spec, attempt) pairs — in one configuration
+        until done or stopped.
 
         Returns the jobs the pass left unfinished — still queued, or
         un-acked members of an in-flight batch.  They were never
@@ -717,7 +721,7 @@ class WorkerPool(_Runner):
         self._halted = ""
 
         #: (ready_time, spec, attempt) — backoff delays re-dispatch.
-        pending: List[tuple] = [(0.0, spec, 0) for spec in specs]
+        pending: List[tuple] = [(0.0, spec, attempt) for spec, attempt in jobs]
         workers: Dict[int, _Worker] = {}
         next_worker_id = 0
         try:
@@ -755,7 +759,7 @@ class WorkerPool(_Runner):
             args=(
                 worker_id, self._job_fn, inbox_r,
                 self._wrap_outbox(_ResultChannel(result_w)), heartbeat,
-                self.beat_interval, self._restore_chaos(),
+                self.beat_interval, self._worker_faults(),
             ),
             daemon=True,
             name=f"repro-runner-{worker_id}",

@@ -51,6 +51,8 @@ _TERMINAL_JOB_KINDS = frozenset(
 #: degraded campaign runs several passes, and only the supervisor
 #: knows which end is final.
 _PASS_END_KINDS = frozenset({ev.CAMPAIGN_FINISHED, ev.CAMPAIGN_INTERRUPTED})
+#: How many fallback passes a degraded campaign gets.
+_DEGRADE_LIMIT = 2
 
 #: Tenant names become directory components; keep them boring.
 _TENANT_OK = frozenset(
@@ -77,8 +79,6 @@ class ServiceConfig:
     ack_every: int = 8
     #: Consecutive worker deaths before the circuit opens.
     circuit_threshold: int = 8
-    #: How many fallback passes a degraded campaign gets.
-    degrade_limit: int = 2
     quota: QuotaConfig = field(default_factory=QuotaConfig)
 
 
@@ -377,7 +377,7 @@ class Supervisor:
                     )
                     return
                 tripped = self._circuit.get(cid, "")
-                if not tripped or degrades >= self.config.degrade_limit:
+                if not tripped or degrades >= _DEGRADE_LIMIT:
                     break
                 # A fork-server pool may already have degraded and
                 # finished most jobs itself: fall back over the rest.

@@ -18,8 +18,10 @@ import time
 
 import pytest
 
+from repro.resilience import chaos
 from repro.resilience.chaos import (
     ChaosPlan,
+    ChaosPool,
     ChaosReport,
     run_chaos_campaign,
     tear_file,
@@ -147,6 +149,48 @@ class TestForkServerChaosInvariant:
         # cross-mode byte identity: both chaos modes left exactly the
         # serial reference's store bytes
         assert fork_report.chaos_json == spawn_report.chaos_json
+        assert no_orphans()
+
+    def test_degraded_pass_runs_cold(self, tmp_path, monkeypatch):
+        """A fork-server chaos pass whose circuit opens degrades to the
+        spawn configuration with the cache off: no job finished after
+        ``POOL_DEGRADED`` adds a capture or restore to ``pool.stats``."""
+        pools, served_at_degrade, gained_after = [], [], []
+
+        def served(pool):
+            return pool.stats.get("forkserver.captures", 0) + pool.stats.get(
+                "forkserver.restores", 0
+            )
+
+        class _FragileChaosPool(ChaosPool):
+            """Opens its circuit on the first worker death."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, circuit_threshold=1, **kwargs)
+                pools.append(self)
+
+        def on_event(event):
+            if event.kind == ev.POOL_DEGRADED:
+                served_at_degrade.append(served(pools[-1]))
+            elif event.kind == ev.JOB_FINISHED and len(
+                served_at_degrade
+            ) == len(pools):
+                gained_after.append(served(pools[-1]) - served_at_degrade[-1])
+
+        monkeypatch.setattr(chaos, "ChaosPool", _FragileChaosPool)
+        plan = ChaosPlan(
+            seed=4, kill_rate=0.3, hang_rate=0.0, dup_rate=0.0,
+            delay_rate=0.0, tear_rate=0.0, corrupt_rate=0.1, wedge_rate=0.0,
+        )
+        report = run_chaos_campaign(
+            plan_fuzz("4.13", ["idt", "m2p"], 6, 777), seed=4,
+            store_path=str(tmp_path / "fork.sqlite"), jobs=2, timeout=3.0,
+            plan=plan, on_event=on_event, pool_mode="fork-server",
+        )
+        assert report.identical, report.render()
+        assert served_at_degrade, "no pass degraded"
+        assert gained_after, "no job finished after a degradation"
+        assert not any(gained_after), gained_after
         assert no_orphans()
 
     def test_unknown_pool_mode_rejected(self, tmp_path):

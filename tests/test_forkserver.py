@@ -23,6 +23,7 @@ import copy
 import multiprocessing
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -136,13 +137,6 @@ class TestTestbedCheckpoint:
         # the cold-boot fallback path yields the identical result
         fresh = build_testbed(XEN_4_13)
         assert campaign.run_trial_on(fresh, component, seed=7) == reference
-
-    def test_unverified_restore_can_be_checked_explicitly(self):
-        bed = build_testbed(XEN_4_13)
-        checkpoint = TestbedCheckpoint.capture(bed)
-        _corrupt(checkpoint)
-        checkpoint.restore(bed, verify=False)  # caller opted out
-        assert not checkpoint.verify(bed)
 
 
 class TestFrameTableFidelity:
@@ -279,14 +273,17 @@ class TestExecuteJobCached:
 
 @dataclass
 class _CorruptEveryRestore:
-    """Test-only restore chaos: rot the cache before every warm restore."""
+    """Test-only worker faults: rot the cache before every warm restore."""
+
+    def before_job(self, job_id: str, attempt: int) -> None:
+        pass
 
     def before_restore(self, entry, job_id: str, attempt: int) -> None:
         _corrupt(entry.checkpoint)
 
 
 class _RottenCachePool(ForkServerPool):
-    def _restore_chaos(self):
+    def _worker_faults(self):
         return _CorruptEveryRestore()
 
 
@@ -383,8 +380,8 @@ class TestForkServerPool:
         specs = plan_fuzz("4.13", ["idt", "m2p"], 6, 777)
         recorder = EventRecorder()
         pool = ChaosPool(
-            plan, base_job_fn=execute_job_cached, fork_server=True, jobs=2,
-            batch=3, retries=0, on_event=recorder,
+            plan, fork_server=True, jobs=2, batch=3, retries=0,
+            on_event=recorder,
         )
         outcome = pool.run(specs)
         assert not outcome.failures
@@ -493,6 +490,28 @@ class TestForkServerPool:
         ]
         assert job_events
         assert all(e.total == len(specs) for e in job_events)
+        assert no_orphans()
+
+    def test_degraded_pass_keeps_each_jobs_attempt(self, tmp_path):
+        """The jobs that opened the circuit resume at their next attempt
+        in the degraded pass: the crashers succeed on attempt 1, every
+        job is done, and no (job_id, attempt) row repeats."""
+        specs = [selftest("crash-until:1", f"c{i}") for i in range(2)] + [
+            selftest("ok", f"d{i}") for i in range(4)
+        ]
+        path = str(tmp_path / "degrade.sqlite")
+        recorder = EventRecorder()
+        with ResultStore(path) as store:
+            outcome = ForkServerPool(
+                jobs=1, batch=1, retries=1, circuit_threshold=2,
+                poison_threshold=99, on_event=recorder,
+            ).run(specs, store=store)
+            assert store.summary().done == len(specs), outcome.failures
+        assert ev.POOL_DEGRADED in recorder.kinds()
+        assert not outcome.failures
+        with sqlite3.connect(path) as conn:
+            rows = conn.execute("SELECT job_id, attempt FROM attempts").fetchall()
+        assert len(rows) == len(set(rows)), Counter(rows)
         assert no_orphans()
 
     def test_spawn_configuration_fails_fast_on_open_circuit(self):
