@@ -14,19 +14,16 @@ What the curve shows:
   after an untimed warm-up pool has booted the stdlib forkserver its
   workers fork from) measures the per-campaign pool cost: starting
   four workers, a testbed boot and a pipe round trip per job, and the
-  teardown.  It still loses to serial on the 30-job campaign, 105.2 vs
-  126.4 jobs/s in the archived run (0.29 s vs 0.24 s);
+  teardown.  It still loses to serial on the 30-job campaign, 88.7 vs
+  205.3 jobs/s in the archived run (0.338 s vs 0.146 s);
 * the fork-server beats serial even at 30 jobs (fork start is ~2ms and
   trials restore a cached checkpoint instead of booting a testbed);
 * fork-server throughput is not near-linear in workers.  The archived
   curve comes from a 2-CPU host: at 3000 jobs, 1 -> 2 workers went
-  1143.1 -> 1799.1 jobs/s, and 4 and 8 workers on the same two CPUs
-  gave 2021.8 and 2431.4.  Repeated runs on that host spread widely
-  (2 workers 1268-1545, 8 workers 1329-1428 jobs/s in two more
-  passes), so read a single curve against the ``host`` block it
-  records, not as a scaling law.  Curves archived before the typed
-  frame-table restore measured 1 -> 2 workers as 296.6 -> 571.9,
-  322.6 -> 325.6, 335.0 -> 506.1 and 299.0 -> 597.9.
+  895.2 -> 1536.1 jobs/s, and 4 and 8 workers on the same two CPUs
+  gave 1749.5 and 1613.7.  Runs on that host spread widely, so read a
+  single curve against the ``host`` block it records, not as a
+  scaling law.
 
 Beside the curve, ``restore_vs_boot`` records the layer the
 fork-server's speed rests on: the median in-process

@@ -100,20 +100,23 @@ def _runner_from_args(args):
         return None, None
     from repro.runner import ConsoleRenderer, ResultStore, make_runner
 
+    renderer = ConsoleRenderer() if (args.jobs > 1 or fork_server) else None
+    try:
+        runner = make_runner(
+            jobs=args.jobs, timeout=args.timeout, on_event=renderer,
+            max_backoff=getattr(args, "backoff_cap", 5.0),
+            liveness_grace=getattr(args, "heartbeat_timeout", 30.0),
+            fork_server=fork_server,
+            batch=getattr(args, "batch", 8),
+            recycle_after=getattr(args, "recycle_after", 256),
+        )
+    except ValueError as exc:  # an option the pool refuses
+        raise SystemExit(f"error: {exc}") from None
     store = ResultStore(store_path) if store_path else None
     if args.resume and store is not None:
         summary = store.summary()
         if summary.total:
             print(f"resuming: {summary.render()}", file=sys.stderr)
-    renderer = ConsoleRenderer() if (args.jobs > 1 or fork_server) else None
-    runner = make_runner(
-        jobs=args.jobs, timeout=args.timeout, on_event=renderer,
-        max_backoff=getattr(args, "backoff_cap", 5.0),
-        liveness_grace=getattr(args, "heartbeat_timeout", 30.0),
-        fork_server=fork_server,
-        batch=getattr(args, "batch", 8),
-        recycle_after=getattr(args, "recycle_after", 256),
-    )
     return runner, store
 
 
@@ -1033,22 +1036,25 @@ def _cmd_serve(args) -> int:
     from repro.service import QuotaConfig, ServiceConfig
     from repro.service.server import serve
 
-    config = ServiceConfig(
-        data_dir=args.data_dir,
-        jobs=args.jobs,
-        fork_server=args.fork_server,
-        timeout=args.timeout,
-        max_backoff=args.backoff_cap,
-        liveness_grace=args.heartbeat_timeout,
-        ack_every=args.ack_every,
-        quota=QuotaConfig(
-            rate=args.quota_rate,
-            burst=args.quota_burst,
-            max_tenant_jobs=args.max_tenant_jobs,
-            max_active=args.max_active,
-            queue_depth=args.queue_depth,
-        ),
-    )
+    try:
+        config = ServiceConfig(
+            data_dir=args.data_dir,
+            jobs=args.jobs,
+            fork_server=args.fork_server,
+            timeout=args.timeout,
+            max_backoff=args.backoff_cap,
+            liveness_grace=args.heartbeat_timeout,
+            ack_every=args.ack_every,
+            quota=QuotaConfig(
+                rate=args.quota_rate,
+                burst=args.quota_burst,
+                max_tenant_jobs=args.max_tenant_jobs,
+                max_active=args.max_active,
+                queue_depth=args.queue_depth,
+            ),
+        )
+    except ValueError as exc:  # an option the pool refuses, before binding
+        raise SystemExit(f"error: {exc}") from None
     return serve(
         config, host=args.host, port=args.port, ready_file=args.ready_file
     )

@@ -35,7 +35,6 @@ from repro.runner.pool import (
     SerialRunner,
     WorkerPool,
     make_runner,
-    run_jobs,
     seeded_backoff,
 )
 from repro.runner.forkserver import (
@@ -82,6 +81,5 @@ __all__ = [
     "plan_coverage_round",
     "plan_fuzz",
     "plan_testcases",
-    "run_jobs",
     "seeded_backoff",
 ]

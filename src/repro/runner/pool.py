@@ -67,7 +67,7 @@ import signal
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.resilience.quarantine import CircuitBreaker, PoisonTracker
 from repro.runner import events as ev
@@ -84,11 +84,11 @@ from repro.runner.store import ResultStore
 __all__ = [
     "CampaignFailed",
     "CampaignInterrupted",
+    "Runner",
     "RunnerOutcome",
     "SerialRunner",
     "WorkerPool",
     "make_runner",
-    "run_jobs",
     "seeded_backoff",  # re-exported from repro.runner.backoff
 ]
 
@@ -616,6 +616,12 @@ class WorkerPool(_Runner):
             raise ValueError("batch must be >= 1")
         if recycle_after < 1:
             raise ValueError("recycle_after must be >= 1")
+        # None disables either budget; a non-positive one would fail
+        # every job it watches.
+        if timeout is not None and timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {timeout}")
+        if liveness_grace is not None and liveness_grace <= 0:
+            raise ValueError(f"liveness_grace must be > 0, got {liveness_grace}")
         super().__init__(retries, backoff, max_backoff, job_fn, on_event)
         self.jobs = jobs
         self.timeout = timeout
@@ -1058,6 +1064,9 @@ class WorkerPool(_Runner):
 # Front door
 # ----------------------------------------------------------------------
 
+#: What :func:`make_runner` returns.
+Runner = Union[SerialRunner, WorkerPool]
+
 
 def make_runner(
     jobs: int = 1,
@@ -1072,7 +1081,7 @@ def make_runner(
     fork_server: bool = False,
     batch: int = DEFAULT_BATCH,
     recycle_after: int = DEFAULT_RECYCLE_AFTER,
-):
+) -> Runner:
     """A SerialRunner for ``jobs=1``, a WorkerPool otherwise.
 
     ``fork_server=True`` selects the pool's snapshot-cached fork-server
@@ -1080,32 +1089,17 @@ def make_runner(
     snapshot cache).  ``job_fn=None`` runs each configuration's own
     executor.
     """
-    if jobs <= 1 and not fork_server:
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if jobs == 1 and not fork_server:
         return SerialRunner(
             retries=retries, max_backoff=max_backoff,
             job_fn=job_fn or execute_job, on_event=on_event,
         )
     return WorkerPool(
-        jobs=max(jobs, 1), timeout=timeout, retries=retries,
+        jobs=jobs, timeout=timeout, retries=retries,
         max_backoff=max_backoff, job_fn=job_fn, on_event=on_event,
         poison_threshold=poison_threshold,
         circuit_threshold=circuit_threshold, liveness_grace=liveness_grace,
         fork_server=fork_server, batch=batch, recycle_after=recycle_after,
     )
-
-
-def run_jobs(
-    specs: Sequence[JobSpec],
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    store: Optional[ResultStore] = None,
-    job_fn: Optional[JobFn] = None,
-    on_event: Optional[EventCallback] = None,
-) -> RunnerOutcome:
-    """One-call campaign execution: plan in, outcome out."""
-    runner = make_runner(
-        jobs=jobs, timeout=timeout, retries=retries, job_fn=job_fn,
-        on_event=on_event,
-    )
-    return runner.run(specs, store=store)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.runner import events as ev
-from repro.runner.pool import make_runner
+from repro.runner.pool import Runner, make_runner
 from repro.runner.store import ResultStore, StoreBusy, StoreCorrupt
 from repro.service import journal as jn
 from repro.service import shards
@@ -80,6 +80,39 @@ class ServiceConfig:
     #: Consecutive worker deaths before the circuit opens.
     circuit_threshold: int = 8
     quota: QuotaConfig = field(default_factory=QuotaConfig)
+
+    def __post_init__(self) -> None:
+        # Build (and drop) both runners a campaign may use, so options
+        # the pool refuses fail here, before the service journals or
+        # binds, rather than on every job of the first campaign.
+        for fallback in (False, True):
+            make_runner(**self.runner_options(fallback))
+
+    def runner_options(self, fallback: bool) -> Dict[str, object]:
+        """``make_runner`` options for a campaign pass.
+
+        A degraded (``fallback``) pass runs on the spawn configuration
+        with a roomier circuit and extra retries: the point is to
+        finish, not to be fast.
+        """
+        options: Dict[str, object] = dict(
+            jobs=self.jobs,
+            timeout=self.timeout,
+            retries=self.retries,
+            max_backoff=self.max_backoff,
+            circuit_threshold=self.circuit_threshold,
+            liveness_grace=self.liveness_grace,
+            fork_server=self.fork_server,
+            batch=self.batch,
+        )
+        if fallback:
+            options.update(
+                jobs=max(self.jobs, 2),
+                retries=max(self.retries, 2),
+                circuit_threshold=max(self.circuit_threshold * 2, 16),
+                fork_server=False,
+            )
+        return options
 
 
 class EventStream:
@@ -164,7 +197,7 @@ class Supervisor:
         self.admission = AdmissionController(config.quota)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._streams: Dict[str, EventStream] = {}
-        self._runners: Dict[str, object] = {}
+        self._runners: Dict[str, Runner] = {}
         self._circuit: Dict[str, str] = {}
         self._since_ack: Dict[str, int] = {}
         self._lock = threading.RLock()
@@ -402,33 +435,9 @@ class Supervisor:
         finally:
             store.close()
 
-    def _make_runner(self, record, store, stream, fallback: bool):
-        cfg = self.config
+    def _make_runner(self, record, store, stream, fallback: bool) -> Runner:
         callback = self._callback_for(record, store, stream)
-        if fallback:
-            # Degraded pass: a fresh spawn-per-job pool with a roomier
-            # circuit and extra retries — the point is to finish, not
-            # to be fast.
-            return make_runner(
-                jobs=max(cfg.jobs, 2),
-                timeout=cfg.timeout,
-                retries=max(cfg.retries, 2),
-                on_event=callback,
-                max_backoff=cfg.max_backoff,
-                circuit_threshold=max(cfg.circuit_threshold * 2, 16),
-                liveness_grace=cfg.liveness_grace,
-            )
-        return make_runner(
-            jobs=cfg.jobs,
-            timeout=cfg.timeout,
-            retries=cfg.retries,
-            on_event=callback,
-            max_backoff=cfg.max_backoff,
-            circuit_threshold=cfg.circuit_threshold,
-            liveness_grace=cfg.liveness_grace,
-            fork_server=cfg.fork_server,
-            batch=cfg.batch,
-        )
+        return make_runner(on_event=callback, **self.config.runner_options(fallback))
 
     def _callback_for(self, record, store, stream):
         cid = record.campaign_id
@@ -525,9 +534,7 @@ class Supervisor:
             self._draining = True
             runners = list(self._runners.values())
         for runner in runners:
-            stop = getattr(runner, "request_stop", None)
-            if stop is not None:
-                stop()
+            runner.request_stop()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         self.begin_drain()

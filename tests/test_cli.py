@@ -170,3 +170,47 @@ class TestTestcaseCommand:
         code, out = run_cli(capsys, "testcase", "suite", "--version", "4.13")
         assert code == 0
         assert "handled 2/8" in out
+
+
+class TestPoolOptionErrors:
+    """An option the pool refuses ends in the same clean ``error:`` exit
+    as ``--jobs 0``: no traceback, and no job run with a budget that
+    fails it."""
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--jobs", "0", "--jobs"),
+            ("--batch", "0", "batch"),
+            ("--recycle-after", "0", "recycle_after"),
+            ("--timeout", "-1", "timeout"),
+            ("--heartbeat-timeout", "-1", "liveness_grace"),
+        ],
+    )
+    def test_fuzz_exits_cleanly(self, flag, value, named):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--runs", "1", "--jobs", "2", flag, value])
+        assert str(exc.value.code).startswith(f"error: {named}")
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--jobs", "0", "jobs"),
+            ("--timeout", "-1", "timeout"),
+            ("--heartbeat-timeout", "-1", "liveness_grace"),
+        ],
+    )
+    def test_serve_exits_before_binding(
+        self, tmp_path, monkeypatch, flag, value, named
+    ):
+        from repro.service import server
+
+        def bind(*args, **kwargs):
+            raise AssertionError("serve started with an option the pool refuses")
+
+        monkeypatch.setattr(server, "serve", bind)
+        data_dir = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--data-dir", str(data_dir), "--jobs", "2", flag, value])
+        assert str(exc.value.code).startswith(f"error: {named}")
+        assert not data_dir.exists()

@@ -11,6 +11,7 @@ import re
 import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
+THROUGHPUT_BENCH = "benchmarks/bench_runner_throughput.py"
 
 
 def _text(name: str) -> str:
@@ -93,7 +94,8 @@ class TestPaperMapping:
 class TestQuotedThroughputFigures:
     """Figures the docs quote from the throughput artifacts match them.
 
-    ``runner_throughput.json`` backs the fork-server figures and
+    ``runner_throughput.json`` backs the fork-server figures (in the
+    docs and in the docstring of the benchmark that writes it) and
     ``service_throughput.json`` the service-overhead ones.
 
     Each quoted figure is the artifact's value rounded to the number of
@@ -147,12 +149,8 @@ class TestQuotedThroughputFigures:
             r"against a ([\d.]+) ms `build_testbed`",
         )
 
-    def test_experiments_fork_server_curve(self, artifact):
-        quoted = self._quoted(
-            "EXPERIMENTS.md",
-            r"At 3000 jobs 1 → 2 workers went ([\d.]+) → ([\d.]+) jobs/s, "
-            r"and 4 and 8 workers gave ([\d.]+) and ([\d.]+)",
-        )
+    def _check_fork_server_curve(self, artifact, doc, pattern):
+        quoted = self._quoted(doc, pattern)
         curve = {
             row["workers"]: row["jobs_per_s"]
             for row in artifact["matrix"]
@@ -160,6 +158,36 @@ class TestQuotedThroughputFigures:
         }
         for workers, figure in zip((1, 2, 4, 8), quoted):
             assert self._rounds_to(curve[workers], figure), (workers, figure)
+
+    def test_experiments_fork_server_curve(self, artifact):
+        self._check_fork_server_curve(
+            artifact, "EXPERIMENTS.md",
+            r"At 3000 jobs 1 → 2 workers went ([\d.]+) → ([\d.]+) jobs/s, "
+            r"and 4 and 8 workers gave ([\d.]+) and ([\d.]+)",
+        )
+
+    def test_benchmark_docstring_fork_server_curve(self, artifact):
+        self._check_fork_server_curve(
+            artifact, THROUGHPUT_BENCH,
+            r"at 3000 jobs, 1 -> 2 workers went ([\d.]+) -> ([\d.]+) jobs/s, "
+            r"and 4 and 8 workers on the same two CPUs gave ([\d.]+) and ([\d.]*\d)",
+        )
+
+    def test_benchmark_docstring_pool_vs_serial(self, artifact):
+        quoted = self._quoted(
+            THROUGHPUT_BENCH,
+            r"30-job campaign, ([\d.]+) vs ([\d.]+) jobs/s in the archived "
+            r"run \(([\d.]+) s vs ([\d.]+) s\)",
+        )
+        rows = {
+            row["mode"]: row for row in artifact["matrix"] if row["jobs"] == 30
+        }
+        pool, serial = rows["worker-pool"], rows["serial"]
+        figures = (
+            pool["jobs_per_s"], serial["jobs_per_s"], pool["wall_s"], serial["wall_s"]
+        )
+        for value, figure in zip(figures, quoted):
+            assert self._rounds_to(value, figure), (value, figure)
 
     @pytest.mark.parametrize("doc", ["README.md", "EXPERIMENTS.md"])
     def test_archived_service_overhead_ratio(self, service_artifact, doc):

@@ -38,7 +38,6 @@ from repro.runner import (
     plan_campaign,
     plan_fuzz,
     plan_testcases,
-    run_jobs,
 )
 from repro.runner import events as ev
 from repro.runner import jobs as jobs_module
@@ -498,6 +497,8 @@ class TestWorkerPool:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             WorkerPool(jobs=0)
+        with pytest.raises(ValueError):
+            make_runner(jobs=0)
 
     def test_make_runner_picks_implementation(self):
         assert isinstance(make_runner(jobs=1), SerialRunner)
@@ -683,10 +684,6 @@ class TestExecuteJob:
         )
         payload = execute_job(spec)
         assert payload["attribute"] == "availability"
-
-    def test_run_jobs_front_door(self):
-        outcome = run_jobs([selftest("ok")])
-        assert len(outcome.results) == 1
 
 
 class TestCliIntegration:

@@ -482,6 +482,14 @@ class TestSupervisor:
         finally:
             sup.close()
 
+    @pytest.mark.parametrize(
+        "option", [dict(timeout=-1.0), dict(liveness_grace=0.0), dict(batch=0)]
+    )
+    def test_options_the_pool_refuses_fail_at_configuration(self, tmp_path, option):
+        """Not with a 202 and then every job of the first campaign."""
+        with pytest.raises(ValueError):
+            ServiceConfig(data_dir=str(tmp_path / "data"), jobs=2, **option)
+
     def test_quota_429_leaves_other_tenants_unimpeded(self, tmp_path):
         sup = make_supervisor(tmp_path, quota=QuotaConfig(rate=0.001, burst=1))
         try:

@@ -31,14 +31,8 @@ from repro.exploits import (
     XdomGrantLeak,
     XdomRingTamper,
 )
-from repro.runner import (
-    ForkServerPool,
-    SerialRunner,
-    WorkerPool,
-    plan_campaign,
-)
+from repro.runner import SerialRunner, plan_campaign
 from repro.runner.store import ResultStore
-from repro.service.shards import compact
 from repro.xen.versions import XEN_4_6, version_by_name
 
 
@@ -334,47 +328,15 @@ def _xdom_specs():
     )
 
 
-def _run_into_store(runner, specs, path, compact_path):
-    store = ResultStore(path)
-    try:
-        outcome = runner.run(specs, store=store)
-    finally:
-        store.close()
-    assert not outcome.failures, outcome.failures
-    payloads = [outcome.results[s.job_id] for s in specs]
-    return payloads, compact([path], compact_path).sha256
-
-
 class TestEngineParity:
-    """Serial, spawn pool and fork-server must be byte-identical on a
-    non-default topology: identical payloads, and stores that compact
-    to the same sha256 (the repo's deterministic store fingerprint)."""
+    """Serial, spawn and fork-server parity on this topology is the
+    ``cross-domain`` golden entry of ``tests/test_parity.py``; this
+    checks what those identical payloads carry."""
 
-    def test_serial_spawn_and_fork_server_agree(self, tmp_path):
+    def test_payloads_embed_the_topology(self):
         specs = _xdom_specs()
-        reference, ref_sha = _run_into_store(
-            SerialRunner(), specs,
-            str(tmp_path / "serial.sqlite"), str(tmp_path / "serial-c.sqlite"),
-        )
-        for label, pool in (
-            ("spawn", WorkerPool(jobs=2)),
-            ("forksrv", ForkServerPool(jobs=2)),
-        ):
-            payloads, sha = _run_into_store(
-                pool, specs,
-                str(tmp_path / f"{label}.sqlite"),
-                str(tmp_path / f"{label}-c.sqlite"),
-            )
-            assert payloads == reference, f"{label} payloads diverged"
-            assert sha == ref_sha, f"{label} store fingerprint diverged"
-
-    def test_payloads_embed_the_topology(self, tmp_path):
-        specs = _xdom_specs()
-        payloads, _ = _run_into_store(
-            SerialRunner(), specs,
-            str(tmp_path / "s.sqlite"), str(tmp_path / "s-c.sqlite"),
-        )
-        for payload in payloads:
+        outcome = SerialRunner().run(specs)
+        for payload in outcome.payloads_for(specs):
             assert payload["topology"] == CROSS_DOMAIN_TOPOLOGY.canonical_json()
 
 
