@@ -54,7 +54,7 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--fork-server", action="store_true",
         help="persistent snapshot-cached workers: boot once per worker, "
-        "restore a digest-verified checkpoint per trial (fastest for "
+        "restore a verified checkpoint per trial (fastest for "
         "fuzz campaigns; implies --jobs workers stay warm)",
     )
     group.add_argument(

@@ -33,27 +33,43 @@ connection's shell) are shared; records it mutates in place are copied on captur
 again on every restore, so the bed never holds a container of the
 checkpoint's.
 
-Every restore is verified: :meth:`TestbedCheckpoint.restore` recomputes
-:func:`~repro.xen.snapshot.machine_digest` and compares it against the
-digest recorded at capture time.  A mismatch raises
-:class:`CheckpointDiverged` — the caller (the fork-server's snapshot
-cache) evicts the entry and falls back to a cold boot.  Only the
-machine is verified: its snapshot bytes are the part of a cached entry
-that can rot, while the Python layers are rebuilt from the
-checkpoint's private copies on every restore.  That those layers are
-complete is proved by a test that compares a restored bed's whole
-object graph with a fresh boot's, not by a check on the hot path.
+Every restore rewrites only what the job touched.  Capture begins a
+dirty-tracking *generation* on the machine and the frame table, and
+their write paths feed it: ``Machine`` marks each frame written,
+zeroed, copied onto or given a blob, and flags the blob map and the
+allocator when they change; ``FrameTable`` marks every record it
+hands out.  :meth:`TestbedCheckpoint.restore` rewrites those frames
+and records, plus the blob map and allocator when flagged.  A bed
+whose machine or table tracks another generation (a second
+checkpoint, or a wholesale recovery rollback in between) is rolled
+back whole.
+
+Every restore is then verified against the whole machine, not just
+the part it rewrote: every live frame must equal the snapshot byte
+for byte, every rewritten frame must hash to the sha1 recorded at
+capture, and every blob must fingerprint as at capture.  A rotted
+snapshot frame is therefore caught whether the restore rewrote it or
+left it out, and so is a write the dirty set missed.  A mismatch
+raises :class:`CheckpointDiverged` — the caller (the fork-server's
+snapshot cache) evicts the entry and falls back to a cold boot.  Only
+the machine is verified: its snapshot bytes are the part of a cached
+entry that can rot, while the Python layers are rebuilt from the
+checkpoint's private copies on every restore.  That those layers and
+the dirty sets are complete is proved by tests — a bed walk that
+compares a restored bed's whole object graph with a fresh boot's, and
+a property over random mutator sequences — not by a check on the hot
+path.
 """
 
 from __future__ import annotations
 
-import copy
+import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.net import Connection, Listener
-from repro.xen.snapshot import MachineSnapshot, machine_digest
+from repro.xen.snapshot import MachineSnapshot, blob_fingerprint, machine_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.testbed import TestBed
@@ -61,6 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.xen.events import Channel
     from repro.xen.frames import PageInfo
     from repro.xen.granttable import GrantTable
+    from repro.xen.machine import Machine
 
 
 class CheckpointDiverged(RuntimeError):
@@ -106,6 +123,29 @@ class _DomainState:
     event_handlers: Dict[int, Callable[[int], None]]
     loot: List[int]
     files: dict
+
+
+def _flat_copy(record):
+    """``copy.copy`` of a plain record (a scheduler ``PCpu`` or
+    ``VcpuAccount``, a guest ``Process``) without the ``__reduce_ex__``
+    round trip: a new instance sharing every field value."""
+    clone = object.__new__(type(record))
+    clone.__dict__.update(record.__dict__)
+    return clone
+
+
+def _frame_hashes(snapshot: MachineSnapshot) -> Dict[int, bytes]:
+    return {
+        mfn: hashlib.sha1(frame).digest()
+        for mfn, frame in snapshot._frames.items()  # noqa: SLF001
+    }
+
+
+def _blob_prints(machine: "Machine") -> List[Tuple[Tuple[int, int], str]]:
+    return sorted(
+        (key, blob_fingerprint(blob))
+        for key, blob in machine._blobs.items()  # noqa: SLF001
+    )
 
 
 def _copy_network(
@@ -166,6 +206,15 @@ class TestbedCheckpoint:
     #: Machine digest at capture time — what a faithful restore must
     #: reproduce, byte for byte.
     digest: str
+    #: sha1 of every snapshot frame's bytes at capture time, so a
+    #: rewritten frame is checked against the capture, not against
+    #: snapshot bytes that may have rotted since.
+    frame_hashes: Dict[int, bytes]
+    #: ``((mfn, word), fingerprint)`` of every blob at capture time.
+    blob_prints: List[Tuple[Tuple[int, int], str]]
+    #: Token of the dirty-tracking generation the capture began on the
+    #: machine and the frame table.
+    generation: object
 
     @classmethod
     def capture(cls, bed: "TestBed") -> "TestbedCheckpoint":
@@ -185,7 +234,7 @@ class TestbedCheckpoint:
                 booted=kernel.booted,
                 free_pfns=list(kernel._free_pfns),  # noqa: SLF001
                 log=list(kernel.log),
-                processes=[copy.copy(p) for p in kernel.processes],
+                processes=[_flat_copy(p) for p in kernel.processes],
                 events_received=list(kernel.events_received),
                 event_handlers=dict(kernel._event_handlers),  # noqa: SLF001
                 loot=list(kernel.loot),
@@ -194,8 +243,12 @@ class TestbedCheckpoint:
         listeners, connections = _copy_network(
             bed.network._listeners, bed.network.connections  # noqa: SLF001
         )
+        snapshot = MachineSnapshot.capture(xen.machine)
+        generation = object()
+        xen.machine.begin_generation(generation)
+        xen.frames.begin_generation(generation)
         return cls(
-            snapshot=MachineSnapshot.capture(xen.machine),
+            snapshot=snapshot,
             frame_info=xen.frames.copy_info(),
             crashed=xen.crashed,
             crash_banner=xen.crash_banner,
@@ -205,9 +258,9 @@ class TestbedCheckpoint:
             next_domid=xen.next_domid,
             sched_ticks=sched._ticks,  # noqa: SLF001
             sched_trace=list(sched.trace),
-            sched_pcpus=[copy.copy(p) for p in sched.pcpus],
+            sched_pcpus=[_flat_copy(p) for p in sched.pcpus],
             sched_accounts={
-                key: copy.copy(account)
+                key: _flat_copy(account)
                 for key, account in sched._accounts.items()  # noqa: SLF001
             },
             channels={
@@ -222,23 +275,42 @@ class TestbedCheckpoint:
             connections=connections,
             domain_states=states,
             digest=machine_digest(xen.machine),
+            frame_hashes=_frame_hashes(snapshot),
+            blob_prints=_blob_prints(xen.machine),
+            generation=generation,
         )
 
     def restore(self, bed: "TestBed") -> int:
         """Roll ``bed`` back to this checkpoint, in place.
 
-        Returns the number of machine words rewritten.  Every Python
-        layer is replaced with a fresh copy of the checkpoint's, so no
-        container is ever shared between the bed and the checkpoint.
-        The restored machine is re-digested and compared against the
-        capture-time digest; a mismatch raises
-        :class:`CheckpointDiverged` *after* the rest of the bed has been
-        restored — the machine itself is what diverged, so the bed must
-        be discarded either way.
+        Returns the number of machine words rewritten.  Only the frames
+        and frame-table records written since the capture (or since
+        this checkpoint's last restore) are rewritten, plus the blob map
+        and the allocator when they changed; a bed whose machine or
+        table tracks another generation is rolled back whole.  Every
+        Python layer is replaced with a fresh copy of the checkpoint's,
+        so no container is ever shared between the bed and the
+        checkpoint.  The machine is then verified whole
+        (:meth:`_verify`); a mismatch raises :class:`CheckpointDiverged`
+        *after* the rest of the bed has been restored — the bed must be
+        discarded either way.
         """
         xen = bed.xen
-        rewritten = self.snapshot.restore(xen.machine)
-        xen.frames.restore_info(self.frame_info)
+        machine = xen.machine
+        dirty = machine.dirty_since(self.generation)
+        if dirty is None:
+            rewritten = self.snapshot.restore(machine)
+            written: Iterable[int] = self.frame_hashes
+        else:
+            written, meta = dirty
+            rewritten = self.snapshot.restore_frames(machine, written)
+            if meta:
+                self.snapshot.restore_meta(machine)
+        records = xen.frames.dirty_since(self.generation)
+        if records is None:
+            xen.frames.restore_info(self.frame_info)
+        else:
+            xen.frames.restore_records(self.frame_info, records)
         xen.crashed = self.crashed
         xen.crash_banner = self.crash_banner
         xen.console = deque(self.console, maxlen=xen.console.maxlen)
@@ -248,9 +320,9 @@ class TestbedCheckpoint:
         sched = xen.scheduler
         sched._ticks = self.sched_ticks  # noqa: SLF001
         sched.trace = list(self.sched_trace)
-        sched.pcpus = [copy.copy(p) for p in self.sched_pcpus]
+        sched.pcpus = [_flat_copy(p) for p in self.sched_pcpus]
         sched._accounts = {  # noqa: SLF001
-            key: copy.copy(account)
+            key: _flat_copy(account)
             for key, account in self.sched_accounts.items()
         }
         events = xen.events
@@ -280,15 +352,45 @@ class TestbedCheckpoint:
             kernel.booted = saved.booted
             kernel._free_pfns = list(saved.free_pfns)  # noqa: SLF001
             kernel.log = list(saved.log)
-            kernel.processes = [copy.copy(p) for p in saved.processes]
+            kernel.processes = [_flat_copy(p) for p in saved.processes]
             kernel.events_received = list(saved.events_received)
             kernel._event_handlers = dict(saved.event_handlers)  # noqa: SLF001
             kernel.loot = list(saved.loot)
             kernel.fs._files = dict(saved.files)  # noqa: SLF001
-        actual = machine_digest(xen.machine)
-        if actual != self.digest:
-            raise CheckpointDiverged(self.digest, actual)
+        self._verify(machine, written)
+        machine.begin_generation(self.generation)
+        xen.frames.begin_generation(self.generation)
         return rewritten
+
+    def _verify(self, machine: "Machine", rewritten: Iterable[int]) -> None:
+        """Raise :class:`CheckpointDiverged` unless ``machine`` holds
+        exactly the capture-time state.
+
+        Every live frame must equal the snapshot byte for byte, which
+        catches a write the dirty set missed and a snapshot frame that
+        rotted but was not rewritten.  Every rewritten frame must hash
+        to its capture-time sha1, which catches rot the rewrite copied
+        in.  Every blob must fingerprint as at capture.  The whole
+        machine digest is computed only to report a divergence: the
+        machine's, or the snapshot's when only the snapshot rotted.
+        """
+        live = machine._frames  # noqa: SLF001 — verifying is privileged
+        hashes = self.frame_hashes
+        if (
+            self.snapshot.frames_equal(machine)
+            and all(
+                hashlib.sha1(live[mfn]).digest() == hashes[mfn]
+                for mfn in rewritten
+                if mfn in hashes
+            )
+            and _blob_prints(machine) == self.blob_prints
+        ):
+            return
+        actual = machine_digest(machine)
+        if actual == self.digest:
+            # The snapshot has the same private fields a digest reads.
+            actual = machine_digest(self.snapshot)  # type: ignore[arg-type]
+        raise CheckpointDiverged(self.digest, actual)
 
     def verify(self, bed: "TestBed") -> bool:
         """Does ``bed``'s machine currently match the capture digest?"""

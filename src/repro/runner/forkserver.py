@@ -28,8 +28,10 @@ pool's worker-fault hook (the chaos harness's kills, hangs, snapshot
 corruptions and restore wedges) before each job and each restore.
 Persistent processes accumulate state and cached snapshots can rot, so:
 
-* every restore is **digest-verified** against the checkpoint's
-  ``machine_digest``; a mismatch evicts the cache entry, cold-boots a
+* every restore is **verified** against the whole capture-time
+  machine (each frame byte-equal to the snapshot, each rewritten
+  frame at its capture-time sha1, each blob's fingerprint); a
+  mismatch evicts the cache entry, cold-boots a
   fresh testbed, emits a structured ``restore-diverged`` event and is
   counted in the pool's infrastructure ``stats``.  The Python layers
   need no such check: each restore rebuilds them from the
@@ -112,8 +114,8 @@ def _lease_bed(spec: JobSpec, attempt: int, boot: Callable[[], Any]) -> Any:
 
     ``boot`` builds a fresh bed of the spec's version and topology; it
     runs on a cache miss and after an eviction.  The restore path is
-    digest-verified end to end: a cached snapshot whose restore does
-    not reproduce the capture-time ``machine_digest`` is evicted, the
+    verified end to end: a cached snapshot whose restore does not
+    reproduce the capture-time machine exactly is evicted, the
     divergence is recorded as a structured infra event, and the job
     falls back to the exact cold-boot path a cache miss takes — so a
     rotten snapshot can cost throughput but never correctness.

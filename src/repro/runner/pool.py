@@ -22,7 +22,7 @@ a pool of ``multiprocessing`` workers, in one of two configurations:
 * **fork-server** (``fork_server=True``, see
   :mod:`repro.runner.forkserver`) — workers fork from this process,
   take jobs in batches and serve matrix cells and classic fuzz trials
-  from a digest-verified snapshot cache.
+  from a verified snapshot cache.
 
 The parent owns all scheduling state and the result store, which buys
 properties the serial campaign loop cannot offer:
@@ -580,7 +580,7 @@ class WorkerPool(_Runner):
     * **fork-server**: workers fork from this process (the ``fork``
       context), take ``batch`` jobs per dispatch and run
       :func:`~repro.runner.forkserver.execute_job_cached`, which serves
-      matrix cells and classic fuzz trials from a digest-verified
+      matrix cells and classic fuzz trials from a verified
       snapshot cache.
 
     Both run the same loop: the same worker main, worker-death sweep

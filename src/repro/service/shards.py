@@ -138,19 +138,23 @@ def compact(store_paths: Sequence[str], out_path: str) -> CompactReport:
 
     The merged rows are staged in a temporary SQLite file beside the
     output and streamed from it in job-ID order, so memory stays flat
-    however many shards the data directory holds.
+    however many shards the data directory holds.  The aggregate is
+    built beside them too, fsynced once and renamed over ``out_path``:
+    a compaction that fails leaves the previous aggregate in place.
     """
     out_dir = os.path.dirname(out_path) or "."
     os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=out_dir) as scratch:
+        built = os.path.join(scratch, "aggregate.sqlite")
         staged = sqlite3.connect(os.path.join(scratch, "staged.sqlite"))
         try:
             _stage(staged, store_paths)
-            if os.path.exists(out_path):
-                os.remove(out_path)
-            jobs, ok, failed = _write_aggregate(staged, out_path)
+            jobs, ok, failed = _write_aggregate(staged, built)
         finally:
             staged.close()
+        with open(built, "rb") as handle:
+            os.fsync(handle.fileno())
+        os.replace(built, out_path)
     return CompactReport(
         out_path=out_path,
         sources=len(store_paths),
@@ -209,10 +213,17 @@ def _stage(staged: sqlite3.Connection, store_paths: Sequence[str]) -> None:
 def _write_aggregate(
     staged: sqlite3.Connection, out_path: str
 ) -> Tuple[int, int, int]:
-    """Build the aggregate from the staged rows; ``(jobs, ok, failed)``."""
+    """Build the aggregate from the staged rows; ``(jobs, ok, failed)``.
+
+    The per-job commits stay, but none is made durable: the caller
+    fsyncs the finished file once.  Neither pragma reaches the file's
+    bytes (a rollback journal's mode is not recorded in the header).
+    """
     ok = failed = 0
     with ResultStore(out_path, clock=lambda: 0.0) as out:
         _cap_cache(out._conn)  # noqa: SLF001
+        out._conn.execute("PRAGMA journal_mode = MEMORY")  # noqa: SLF001
+        out._conn.execute("PRAGMA synchronous = OFF")  # noqa: SLF001
         out.register(
             JobSpec.from_json(spec)
             for (spec,) in staged.execute(

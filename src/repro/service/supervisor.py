@@ -32,7 +32,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import IO, Callable, Dict, List, Optional, Tuple
 
 from repro.runner import events as ev
 from repro.runner.pool import Runner, make_runner
@@ -121,7 +121,9 @@ class EventStream:
     Events are advisory (the store is the source of truth), so appends
     flush but do not fsync; a torn tail costs a progress line, never a
     result.  Sequence numbers continue across restarts, which is what
-    makes SSE ``Last-Event-ID`` reconnection exact.
+    makes SSE ``Last-Event-ID`` reconnection exact.  The append handle
+    is opened by the first append, so a stream that only replays a
+    finished campaign holds no file descriptor.
     """
 
     def __init__(self, path: str, loop_ref: Callable[[], Optional[asyncio.AbstractEventLoop]]):
@@ -130,7 +132,9 @@ class EventStream:
         records, good = jn.read_jsonl(path)
         self._records: List[dict] = records
         self._next = max((int(r.get("seq", 0)) for r in records), default=0) + 1
-        self._handle = jn.open_append(path, good)
+        self._path = path
+        self._good = good
+        self._handle: Optional[IO[bytes]] = None
         self._subscribers: List[asyncio.Queue] = []
 
     def append(self, event: Dict[str, object]) -> int:
@@ -141,6 +145,8 @@ class EventStream:
             self._next += 1
             record = {"seq": seq, "event": event}
             self._records.append(record)
+            if self._handle is None:
+                self._handle = jn.open_append(self._path, self._good)
             self._handle.write((json.dumps(record, sort_keys=True) + "\n").encode())
             self._handle.flush()
         loop = self._loop_ref()
@@ -173,6 +179,8 @@ class EventStream:
 
     def close(self) -> None:
         with self._lock:
+            if self._handle is None:
+                return
             try:
                 self._handle.close()
             except OSError:
@@ -219,18 +227,29 @@ class Supervisor:
         record = self.records.get(campaign_id)
         if record is None:
             return None
-        return self._stream_for(record)
+        with self._lock:
+            if (
+                campaign_id not in self._streams
+                and record.state in jn.TERMINAL_STATES
+            ):
+                # A finished campaign's log only replays: read it from
+                # disk without keeping it (see _finish).
+                return self._open_stream(record)
+            return self._stream_for(record)
 
     def _stream_for(self, record: CampaignRecord) -> EventStream:
         with self._lock:
             stream = self._streams.get(record.campaign_id)
             if stream is None:
-                path = shards.event_log_path(
-                    self.config.data_dir, record.tenant, record.campaign_id
-                )
-                stream = EventStream(path, lambda: self._loop)
+                stream = self._open_stream(record)
                 self._streams[record.campaign_id] = stream
             return stream
+
+    def _open_stream(self, record: CampaignRecord) -> EventStream:
+        path = shards.event_log_path(
+            self.config.data_dir, record.tenant, record.campaign_id
+        )
+        return EventStream(path, lambda: self._loop)
 
     @property
     def draining(self) -> bool:
@@ -486,6 +505,14 @@ class Supervisor:
             else ev.CAMPAIGN_FINISHED
         )
         self._emit(record, kind, final=True, state=state, detail=detail)
+        # The final event is on disk and fanned out; subscribers keep
+        # their own reference, and a later reader reopens the log.
+        with self._lock:
+            stream = self._streams.pop(record.campaign_id, None)
+            self._since_ack.pop(record.campaign_id, None)
+            self._circuit.pop(record.campaign_id, None)
+        if stream is not None:
+            stream.close()
 
     def _emit(self, record: CampaignRecord, kind: str, final: bool = False, **fields):
         stream = self._stream_for(record)

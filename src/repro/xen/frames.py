@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterable, Optional, Set
 
 from repro.errors import EBUSY, EINVAL, EPERM, HypercallError
 from repro.probes import points as probe_points
@@ -98,11 +98,19 @@ class FrameTable:
     def __init__(self, machine: Machine):
         self.machine = machine
         self._info: Dict[int, PageInfo] = {}
+        #: Every record handed out since generation ``_generation``
+        #: began (see :meth:`Machine.begin_generation`; nothing is
+        #: tracked outside one): a caller may mutate any record it was
+        #: given, so handing one out is what marks it dirty.
+        self._generation: Optional[object] = None
+        self._dirty: Set[int] = set()
         self._p_frame_ref = machine.probes.point(probe_points.FRAME_REF)
         self._p_frame_type = machine.probes.point(probe_points.FRAME_TYPE)
 
     def info(self, mfn: int) -> PageInfo:
         self.machine.check_mfn(mfn)
+        if self._generation is not None:
+            self._dirty.add(mfn)
         record = self._info.get(mfn)
         if record is None:
             record = PageInfo(mfn=mfn)
@@ -136,8 +144,38 @@ class FrameTable:
         return {mfn: record.copy() for mfn, record in self._info.items()}
 
     def restore_info(self, saved: Dict[int, PageInfo]) -> None:
-        """Replace every record with a private copy of ``saved``."""
+        """Replace every record with a private copy of ``saved``; this
+        ends the generation being tracked (see :meth:`dirty_since`)."""
+        self.begin_generation(None)
         self._info = {mfn: record.copy() for mfn, record in saved.items()}
+
+    def begin_generation(self, generation: Optional[object]) -> None:
+        """Forget every handed-out record and start tracking anew."""
+        self._generation = generation
+        self._dirty = set()
+
+    def dirty_since(self, generation: object) -> Optional[Set[int]]:
+        """The MFNs of records handed out since ``generation`` began,
+        or ``None`` when the table is tracking another generation."""
+        if generation is not self._generation:
+            return None
+        return self._dirty
+
+    def restore_records(self, saved: Dict[int, PageInfo], mfns: Iterable[int]) -> None:
+        """Replace the records of ``mfns`` with private copies of
+        ``saved``'s, dropping those ``saved`` lacks.
+
+        Within one generation the table only gains keys, so records
+        born since the capture sit after every saved one: dropping them
+        leaves ``saved``'s key order.
+        """
+        info = self._info
+        for mfn in mfns:
+            record = saved.get(mfn)
+            if record is None:
+                info.pop(mfn, None)
+            else:
+                info[mfn] = record.copy()
 
     # -- general references ----------------------------------------------------
 
@@ -251,4 +289,6 @@ class FrameTable:
         table (used by integrity-checking defences)."""
         for mfn, record in self._info.items():
             if record.type.is_pagetable:
+                if self._generation is not None:
+                    self._dirty.add(mfn)
                 yield mfn, record

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -198,20 +198,64 @@ class MachineSnapshot:
 
         Returns the number of words that had to be rewritten (the size
         of the diff at restore time), which recovery reports surface as
-        the rollback's footprint.
+        the rollback's footprint.  The rewrite bypasses the machine's
+        write paths, so it ends the machine's dirty-tracking generation.
         """
-        if machine.num_frames != self.num_frames:
-            raise MachineError(
-                f"snapshot of a {self.num_frames}-frame machine cannot "
-                f"restore a {machine.num_frames}-frame machine"
-            )
+        self._check_geometry(machine)
         rewritten = self.changed_words(machine)
         machine._frames = {  # noqa: SLF001 — restore is privileged
             mfn: frame.copy() for mfn, frame in self._frames.items()
         }
+        self.restore_meta(machine)
+        machine.begin_generation(None)
+        return rewritten
+
+    def restore_frames(self, machine: Machine, mfns: Iterable[int]) -> int:
+        """Roll back only frames ``mfns``; the words rewritten.
+
+        Exact when every other frame already equals the snapshot, which
+        is what a checkpoint restore verifies afterwards.
+        """
+        self._check_geometry(machine)
+        live = machine._frames  # noqa: SLF001 — restore is privileged
+        rewritten = 0
+        for mfn in mfns:
+            saved = self._frames.get(mfn)
+            frame = live.get(mfn)
+            if saved is None:
+                if frame is not None:
+                    rewritten += int(np.count_nonzero(frame))
+                    del live[mfn]
+                continue
+            if frame is None:
+                rewritten += int(np.count_nonzero(saved))
+            else:
+                rewritten += int(np.count_nonzero(saved != frame))
+            live[mfn] = saved.copy()
+        return rewritten
+
+    def restore_meta(self, machine: Machine) -> None:
+        """Roll back the blob map and, when captured, the allocator."""
         if self._blobs is not None:
             machine._blobs = dict(self._blobs)  # noqa: SLF001
         if self._allocated is not None and self._free is not None:
             machine._allocated = set(self._allocated)  # noqa: SLF001
             machine._free = list(self._free)  # noqa: SLF001
-        return rewritten
+
+    def frames_equal(self, machine: Machine) -> bool:
+        """Are ``machine``'s materialised frames exactly this
+        snapshot's, byte for byte?"""
+        live = machine._frames  # noqa: SLF001
+        if live.keys() != self._frames.keys():
+            return False
+        return all(
+            frame.tobytes() == live[mfn].tobytes()
+            for mfn, frame in self._frames.items()
+        )
+
+    def _check_geometry(self, machine: Machine) -> None:
+        if machine.num_frames != self.num_frames:
+            raise MachineError(
+                f"snapshot of a {self.num_frames}-frame machine cannot "
+                f"restore a {machine.num_frames}-frame machine"
+            )

@@ -8,6 +8,9 @@ failing comparison names the exact attribute that leaked:
 
 * machine frames are represented by their digest (words and attached
   blobs, :func:`~repro.xen.snapshot.machine_digest`);
+* the machine's and the frame table's dirty-tracking bookkeeping
+  (``_generation``, ``_dirty``, ``_meta_dirty``) is skipped: it records
+  what was written since a checkpoint, not what the bed is;
 * probe buses and callables (functions, bound methods, classes) are
   represented by their name: they are wiring, not state;
 * an object reached a second time is represented by the path it was
@@ -29,6 +32,7 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro.probes.bus import ProbeBus
+from repro.xen.frames import FrameTable
 from repro.xen.machine import Machine
 from repro.xen.snapshot import machine_digest
 
@@ -40,6 +44,8 @@ _CALLABLES = (
     types.BuiltinMethodType,
     type,
 )
+#: Dirty-tracking fields: checkpoint bookkeeping, not bed state.
+_BOOKKEEPING = frozenset({"_generation", "_dirty", "_meta_dirty"})
 
 
 def _callable_name(obj: Any) -> str:
@@ -90,7 +96,7 @@ def walk(root: Any) -> List[Tuple[str, Any]]:
         if isinstance(obj, Machine):
             out.append((f"{path}.<digest>", machine_digest(obj)))
             for name, value in _fields(obj):
-                if name not in ("_frames", "_blobs"):
+                if name not in _BOOKKEEPING | {"_frames", "_blobs"}:
                     visit(value, f"{path}.{name}")
             return
         if isinstance(obj, np.ndarray):
@@ -114,7 +120,8 @@ def walk(root: Any) -> List[Tuple[str, Any]]:
             return
         out.append((path, f"<{type(obj).__module__}.{type(obj).__qualname__}>"))
         for name, value in _fields(obj):
-            visit(value, f"{path}.{name}")
+            if not (isinstance(obj, FrameTable) and name in _BOOKKEEPING):
+                visit(value, f"{path}.{name}")
 
     visit(root, "bed")
     return out

@@ -3,13 +3,18 @@
 The fork-server serves matrix cells and fuzz trials from one warm bed
 per (version, topology), restored to its boot-time
 :class:`~repro.core.checkpoint.TestbedCheckpoint` before every job.
-The restore verifies only the machine digest, so the proof that the
-Python layers (event channels, grant tables, xenstore, the network,
-guest kernels, ...) are complete is this test: after any cell, the
-restored bed's canonical walk equals a freshly booted bed's.
+The restore verifies only the machine, so the proof that the Python
+layers (event channels, grant tables, xenstore, the network, guest
+kernels, ...) are complete is this test: after any cell, the restored
+bed's canonical walk equals a freshly booted bed's.  The restore also
+rewrites only the frames and frame-table records the write paths
+marked dirty; a property over random mutator sequences checks that
+the marks cover every public mutator.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.campaign import Campaign, Mode
 from repro.core.checkpoint import TestbedCheckpoint
@@ -18,8 +23,12 @@ from repro.core.injections import resolve
 from repro.core.injections.registry import registered_names
 from repro.core.testbed import build_testbed
 from repro.core.topology import CROSS_DOMAIN_TOPOLOGY, DEFAULT_TOPOLOGY
-from repro.xen.versions import ALL_VERSIONS, XEN_4_6
+from repro.xen.constants import WORDS_PER_PAGE
+from repro.xen.frames import PageType
+from repro.xen.snapshot import machine_digest
+from repro.xen.versions import ALL_VERSIONS, XEN_4_6, XEN_4_13
 from tests.bed_walk import differences, walk
+from tests.conftest import frame_table
 
 TOPOLOGIES = {"default": DEFAULT_TOPOLOGY, "cross-domain": CROSS_DOMAIN_TOPOLOGY}
 
@@ -96,3 +105,82 @@ def test_restored_layers_share_no_container_with_the_checkpoint():
     assert_restores_to_fresh(
         bed, checkpoint, build_testbed(XEN_4_6, topology=CROSS_DOMAIN_TOPOLOGY)
     )
+
+
+class _Blob:
+    def __init__(self, tag: int):
+        self.tag = tag
+
+
+_MUTATORS = ("write", "blob", "zero", "copy", "alloc", "free", "record", "assign", "release")
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(_MUTATORS),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    ),
+    max_size=12,
+)
+
+
+def _mutate(bed, mutations) -> None:
+    """Apply ``(mutator, a, b, value)`` steps through the public
+    ``Machine`` and ``FrameTable`` mutators, over booted frames and a
+    few frames no boot touched."""
+    machine, frames = bed.xen.machine, bed.xen.frames
+    mfns = sorted(machine._frames) + [machine.num_frames - 1 - i for i in range(4)]
+    for name, a, b, value in mutations:
+        mfn, other = mfns[a % len(mfns)], mfns[b % len(mfns)]
+        index = b % WORDS_PER_PAGE
+        if name == "write":
+            machine.write_word(mfn, index, value)
+        elif name == "blob":
+            machine.attach_blob(mfn, index, _Blob(value))
+        elif name == "zero":
+            machine.zero_frame(mfn)
+        elif name == "copy":
+            machine.copy_frame(mfn, other)
+        elif name == "alloc":
+            machine.alloc_frame()
+        elif name == "free":
+            allocated = sorted(machine._allocated)
+            machine.free_frame(allocated[a % len(allocated)])
+        elif name == "record":
+            record = frames.info(mfn)
+            record.count += 1 + value % 3
+            record.pinned = not record.pinned
+            record.type = list(PageType)[value % len(PageType)]
+        elif name == "assign":
+            frames.assign(mfn, value % 4, pfn=b)
+        else:
+            record = frames.info(mfn)
+            record.count = record.type_count = 0
+            frames.release(mfn)
+
+
+def _machine_and_table(bed):
+    machine = bed.xen.machine
+    return (
+        machine_digest(machine),
+        list(machine._blobs.items()),
+        list(machine._free),
+        set(machine._allocated),
+        list(frame_table(bed).items()),
+    )
+
+
+@given(rounds=st.lists(_MUTATIONS, min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_restore_undoes_any_mutator_sequence(rounds):
+    """Whatever the mutators write, restore puts back exactly the
+    capture: words, blobs, allocator and frame table (key order too),
+    and counts exactly the words it rewrote."""
+    bed = build_testbed(XEN_4_13)
+    checkpoint = TestbedCheckpoint.capture(bed)
+    captured = _machine_and_table(bed)
+    for mutations in rounds:
+        _mutate(bed, mutations)
+        changed = checkpoint.snapshot.changed_words(bed.xen.machine)
+        assert checkpoint.restore(bed) == changed
+        assert _machine_and_table(bed) == captured

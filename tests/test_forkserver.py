@@ -130,13 +130,45 @@ class TestTestbedCheckpoint:
         bed = build_testbed(XEN_4_13)
         checkpoint = TestbedCheckpoint.capture(bed)
         checkpoint.restore(bed)  # healthy restore first
-        _corrupt(checkpoint)
+        _corrupt(checkpoint)  # a frame the next restore leaves out
         with pytest.raises(CheckpointDiverged) as excinfo:
             checkpoint.restore(bed)
         assert excinfo.value.expected != excinfo.value.actual
         # the cold-boot fallback path yields the identical result
         fresh = build_testbed(XEN_4_13)
         assert campaign.run_trial_on(fresh, component, seed=7) == reference
+
+    @pytest.mark.parametrize("rot", ["frame", "blob"])
+    def test_rot_the_restore_copies_in_is_caught(self, rot):
+        """Rot in a snapshot frame or blob the restore rewrites lands in
+        the bed byte for byte; the capture-time frame sha1 or blob
+        fingerprints catch it."""
+        bed = build_testbed(XEN_4_13)
+        checkpoint = TestbedCheckpoint.capture(bed)
+        machine = bed.xen.machine
+        if rot == "frame":
+            _corrupt(checkpoint)
+            mfn = min(checkpoint.snapshot._frames)
+            machine.write_word(mfn, 1, machine.read_word(mfn, 1) + 1)
+        else:
+            blobs = checkpoint.snapshot._blobs
+            blobs[min(blobs)] = object()
+            machine.alloc_frame()  # the blob map is restored only if flagged
+        with pytest.raises(CheckpointDiverged) as excinfo:
+            checkpoint.restore(bed)
+        assert excinfo.value.expected != excinfo.value.actual
+
+    def test_an_untracked_write_is_caught(self):
+        """A write that bypasses the machine's write paths is missing
+        from the dirty set; the whole-machine verify still sees it."""
+        bed = build_testbed(XEN_4_13)
+        checkpoint = TestbedCheckpoint.capture(bed)
+        frames = bed.xen.machine._frames
+        mfn = max(frames)
+        frames[mfn][5] = frames[mfn][5] ^ type(frames[mfn][5])(0x1)
+        with pytest.raises(CheckpointDiverged) as excinfo:
+            checkpoint.restore(bed)
+        assert excinfo.value.expected != excinfo.value.actual
 
 
 class TestFrameTableFidelity:
@@ -161,7 +193,8 @@ class TestFrameTableFidelity:
         checkpoint = TestbedCheckpoint.capture(bed)
         captured = frame_table(bed)
         for _ in range(2):  # capture-time records, then restored ones
-            for record in bed.xen.frames._info.values():
+            for mfn in list(bed.xen.frames._info):
+                record = bed.xen.frames.info(mfn)
                 record.count += 7
                 record.type = PageType.WRITABLE
                 record.pinned = not record.pinned

@@ -62,6 +62,7 @@ def make_supervisor(tmp_path, **overrides):
 
 
 TESTCASE_PLAN = {"kind": "testcase", "version": "4.13"}
+OK_PLAN = {"kind": "selftest", "behaviours": ["ok"]}
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +350,26 @@ class TestCompaction:
             compact_data_dir(first).sha256 == compact_data_dir(second).sha256
         )
 
+    def test_failed_compaction_keeps_the_previous_aggregate(
+        self, tmp_path, monkeypatch
+    ):
+        data_dir = str(tmp_path / "d")
+        self._populate(data_dir, cid="c-1")
+        before = compact_data_dir(data_dir)
+        self._populate(data_dir, cid="c-2")
+
+        def torn(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ResultStore, "record_success", torn)
+        with pytest.raises(OSError, match="disk full"):
+            compact_data_dir(data_dir)
+        assert shards.file_sha256(before.out_path) == before.sha256
+        # ...and no staging file is left behind.
+        assert sorted(os.listdir(data_dir)) == [
+            "compacted.sqlite", "tenants"
+        ]
+
     def test_duplicate_jobs_first_wins_without_divergence(self, tmp_path):
         data_dir = str(tmp_path / "d")
         self._populate(data_dir, tenant="a", cid="c-1")
@@ -532,6 +553,29 @@ class TestSupervisor:
             assert kinds[-1] == "campaign-finished"
             assert records[-1]["event"]["final"] is True
             assert all(not r["event"].get("final") for r in records[:-1])
+        finally:
+            sup.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_finished_campaigns_release_their_event_streams(self, tmp_path):
+        sup = make_supervisor(tmp_path)
+        try:
+            ids = []
+            for i in range(50):
+                status, payload = sup.submit(dict(OK_PLAN), f"t{i}")
+                assert status == 202
+                ids.append(payload["id"])
+                assert sup.run_until_idle(60)
+                if i == 9:
+                    fds = len(os.listdir("/proc/self/fd"))
+            assert len(os.listdir("/proc/self/fd")) <= fds
+            assert sup._streams == {} and sup._since_ack == {}
+            assert sup._circuit == {}
+            for cid in ids:
+                kinds = [r["event"]["kind"] for r in sup.stream(cid).read(0)]
+                assert kinds[0] == "campaign-submitted"
+                assert kinds[-1] == "campaign-finished"
+            assert sup._streams == {}
         finally:
             sup.close()
 
@@ -865,6 +909,27 @@ class TestGracefulShutdown:
         finally:
             if process.poll() is None:
                 process.kill()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_server_fds_stay_flat_and_finished_campaigns_replay(self, tmp_path):
+        process, client, _ = spawn_server(tmp_path)
+        fd_dir = f"/proc/{process.pid}/fd"
+        try:
+            streamed = {}
+            for i in range(50):
+                status, payload = client.submit(dict(OK_PLAN), f"t{i}")
+                assert status == 202
+                frames = list(client.stream(payload["id"], timeout=60))
+                assert frames[-1]["event"]["final"] is True
+                streamed[payload["id"]] = frames
+                if i == 9:
+                    fds = len(os.listdir(fd_dir))
+            assert len(os.listdir(fd_dir)) <= fds
+            for cid, frames in list(streamed.items())[::10]:
+                assert list(client.stream(cid, timeout=60)) == frames
+        finally:
+            process.kill()
+            process.wait(timeout=60)
 
 
 # ----------------------------------------------------------------------
