@@ -14,21 +14,23 @@ What the curve shows:
   after an untimed warm-up pool has booted the stdlib forkserver its
   workers fork from) measures the per-campaign pool cost: starting
   four workers, a testbed boot and a pipe round trip per job, and the
-  teardown.  It still loses to serial on the 30-job campaign, 88.7 vs
-  205.3 jobs/s in the archived run (0.338 s vs 0.146 s);
+  teardown.  It is now about even with serial on the 30-job
+  campaign, 152.4 vs 191.5 jobs/s in the archived run (0.197 s vs
+  0.157 s); the two runs before it on the same host went the other
+  way (201.2 vs 171.6 and 188.4 vs 183.6);
 * the fork-server beats serial even at 30 jobs (fork start is ~2ms and
   trials restore a cached checkpoint instead of booting a testbed);
 * fork-server throughput is not near-linear in workers.  The archived
   curve comes from a 2-CPU host: at 3000 jobs, 1 -> 2 workers went
-  895.2 -> 1536.1 jobs/s, and 4 and 8 workers on the same two CPUs
-  gave 1749.5 and 1613.7.  Runs on that host spread widely, so read a
+  734.5 -> 1548.2 jobs/s, and 4 and 8 workers on the same two CPUs
+  gave 2251.9 and 2094.2.  Runs on that host spread widely, so read a
   single curve against the ``host`` block it records, not as a
   scaling law.
 
 Beside the curve, ``restore_vs_boot`` records the layer the
 fork-server's speed rests on: the median in-process
 :meth:`~repro.core.checkpoint.TestbedCheckpoint.restore` of a bed a
-trial has just dirtied (digest verification included) against the
+trial has just dirtied (verification included) against the
 median :func:`~repro.core.testbed.build_testbed` cold boot, in ms, with
 the sample count.  The check asserts restore < boot.
 

@@ -33,32 +33,36 @@ connection's shell) are shared; records it mutates in place are copied on captur
 again on every restore, so the bed never holds a container of the
 checkpoint's.
 
-Every restore rewrites only what the job touched.  Capture begins a
-dirty-tracking *generation* on the machine and the frame table, and
-their write paths feed it: ``Machine`` marks each frame written,
-zeroed, copied onto or given a blob, and flags the blob map and the
-allocator when they change; ``FrameTable`` marks every record it
-hands out.  :meth:`TestbedCheckpoint.restore` rewrites those frames
-and records, plus the blob map and allocator when flagged.  A bed
-whose machine or table tracks another generation (a second
-checkpoint, or a wholesale recovery rollback in between) is rolled
-back whole.
+Every restore rewrites only what the job touched, and finds it by
+comparing, not by bookkeeping on the machine's write paths.
+:meth:`MachineSnapshot.rollback <repro.xen.snapshot.MachineSnapshot.rollback>`
+— the same rollback :class:`~repro.resilience.recovery.RecoveryManager`'s
+microreboot uses — compares every live frame with the snapshot byte
+for byte, rewrites the frames that differ, drops frames materialised
+since the capture, and replaces the blob map and the allocator only
+when they differ.  Frame-table records are Python objects, too costly
+to compare on every restore, so the table alone keeps a dirty set:
+capture begins a tracking *generation* on it, every record it hands
+out is marked, and :meth:`~repro.xen.frames.FrameTable.restore_since`
+rewrites those (or every record, when the table tracks another
+generation).
 
-Every restore is then verified against the whole machine, not just
-the part it rewrote: every live frame must equal the snapshot byte
-for byte, every rewritten frame must hash to the sha1 recorded at
-capture, and every blob must fingerprint as at capture.  A rotted
-snapshot frame is therefore caught whether the restore rewrote it or
-left it out, and so is a write the dirty set missed.  A mismatch
-raises :class:`CheckpointDiverged` — the caller (the fork-server's
-snapshot cache) evicts the entry and falls back to a cold boot.  Only
-the machine is verified: its snapshot bytes are the part of a cached
-entry that can rot, while the Python layers are rebuilt from the
+Every restore is then verified against the capture, not against the
+snapshot bytes, which may have rotted in the cache: the live frames
+must be the ones materialised at capture, every rewritten frame must
+hash to the sha1 recorded at capture, and every blob must fingerprint
+as at capture.  A frame the rollback left alone equalled the snapshot
+already, so rot in a snapshot frame can only reach the bed through a
+rewrite, where the sha1 catches it.  A mismatch raises
+:class:`CheckpointDiverged` — the caller (the fork-server's snapshot
+cache) evicts the entry and falls back to a cold boot.  Only the
+machine is verified: its snapshot bytes are the part of a cached entry
+that can rot, while the Python layers are rebuilt from the
 checkpoint's private copies on every restore.  That those layers and
-the dirty sets are complete is proved by tests — a bed walk that
-compares a restored bed's whole object graph with a fresh boot's, and
-a property over random mutator sequences — not by a check on the hot
-path.
+the frame table's dirty set are complete is proved by tests — a bed
+walk that compares a restored bed's whole object graph with a fresh
+boot's, and a property over random mutator sequences — not by a check
+on the hot path.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.net import Connection, Listener
 from repro.xen.snapshot import MachineSnapshot, blob_fingerprint, machine_digest
@@ -213,7 +217,7 @@ class TestbedCheckpoint:
     #: ``((mfn, word), fingerprint)`` of every blob at capture time.
     blob_prints: List[Tuple[Tuple[int, int], str]]
     #: Token of the dirty-tracking generation the capture began on the
-    #: machine and the frame table.
+    #: frame table.
     generation: object
 
     @classmethod
@@ -245,7 +249,6 @@ class TestbedCheckpoint:
         )
         snapshot = MachineSnapshot.capture(xen.machine)
         generation = object()
-        xen.machine.begin_generation(generation)
         xen.frames.begin_generation(generation)
         return cls(
             snapshot=snapshot,
@@ -283,34 +286,24 @@ class TestbedCheckpoint:
     def restore(self, bed: "TestBed") -> int:
         """Roll ``bed`` back to this checkpoint, in place.
 
-        Returns the number of machine words rewritten.  Only the frames
-        and frame-table records written since the capture (or since
-        this checkpoint's last restore) are rewritten, plus the blob map
-        and the allocator when they changed; a bed whose machine or
-        table tracks another generation is rolled back whole.  Every
-        Python layer is replaced with a fresh copy of the checkpoint's,
-        so no container is ever shared between the bed and the
-        checkpoint.  The machine is then verified whole
+        Returns the number of machine words rewritten.  The machine is
+        rolled back by :meth:`MachineSnapshot.rollback
+        <repro.xen.snapshot.MachineSnapshot.rollback>`, which rewrites
+        only the frames whose bytes differ from the snapshot; the frame
+        table by :meth:`FrameTable.restore_since
+        <repro.xen.frames.FrameTable.restore_since>`, which rewrites
+        the records handed out since the capture (or this checkpoint's
+        last restore).  Every Python layer is replaced with a fresh copy
+        of the checkpoint's, so no container is ever shared between the
+        bed and the checkpoint.  The machine is then verified
         (:meth:`_verify`); a mismatch raises :class:`CheckpointDiverged`
         *after* the rest of the bed has been restored — the bed must be
         discarded either way.
         """
         xen = bed.xen
         machine = xen.machine
-        dirty = machine.dirty_since(self.generation)
-        if dirty is None:
-            rewritten = self.snapshot.restore(machine)
-            written: Iterable[int] = self.frame_hashes
-        else:
-            written, meta = dirty
-            rewritten = self.snapshot.restore_frames(machine, written)
-            if meta:
-                self.snapshot.restore_meta(machine)
-        records = xen.frames.dirty_since(self.generation)
-        if records is None:
-            xen.frames.restore_info(self.frame_info)
-        else:
-            xen.frames.restore_records(self.frame_info, records)
+        rewritten, frames = self.snapshot.rollback(machine)
+        xen.frames.restore_since(self.frame_info, self.generation)
         xen.crashed = self.crashed
         xen.crash_banner = self.crash_banner
         xen.console = deque(self.console, maxlen=xen.console.maxlen)
@@ -357,41 +350,30 @@ class TestbedCheckpoint:
             kernel._event_handlers = dict(saved.event_handlers)  # noqa: SLF001
             kernel.loot = list(saved.loot)
             kernel.fs._files = dict(saved.files)  # noqa: SLF001
-        self._verify(machine, written)
-        machine.begin_generation(self.generation)
-        xen.frames.begin_generation(self.generation)
+        self._verify(machine, frames)
         return rewritten
 
-    def _verify(self, machine: "Machine", rewritten: Iterable[int]) -> None:
+    def _verify(self, machine: "Machine", rewritten: List[int]) -> None:
         """Raise :class:`CheckpointDiverged` unless ``machine`` holds
         exactly the capture-time state.
 
-        Every live frame must equal the snapshot byte for byte, which
-        catches a write the dirty set missed and a snapshot frame that
-        rotted but was not rewritten.  Every rewritten frame must hash
-        to its capture-time sha1, which catches rot the rewrite copied
-        in.  Every blob must fingerprint as at capture.  The whole
-        machine digest is computed only to report a divergence: the
-        machine's, or the snapshot's when only the snapshot rotted.
+        The live frames must be the ones materialised at capture, every
+        rewritten frame must hash to its capture-time sha1, and every
+        blob must fingerprint as at capture.  A frame the rollback left
+        alone already equalled the snapshot byte for byte, so the only
+        way rot in a snapshot frame reaches the bed is by a rewrite,
+        and the sha1 catches it there.  The whole machine digest is
+        computed only to report a divergence.
         """
         live = machine._frames  # noqa: SLF001 — verifying is privileged
         hashes = self.frame_hashes
         if (
-            self.snapshot.frames_equal(machine)
+            live.keys() == hashes.keys()
             and all(
-                hashlib.sha1(live[mfn]).digest() == hashes[mfn]
+                hashlib.sha1(live[mfn]).digest() == hashes.get(mfn)
                 for mfn in rewritten
-                if mfn in hashes
             )
             and _blob_prints(machine) == self.blob_prints
         ):
             return
-        actual = machine_digest(machine)
-        if actual == self.digest:
-            # The snapshot has the same private fields a digest reads.
-            actual = machine_digest(self.snapshot)  # type: ignore[arg-type]
-        raise CheckpointDiverged(self.digest, actual)
-
-    def verify(self, bed: "TestBed") -> bool:
-        """Does ``bed``'s machine currently match the capture digest?"""
-        return machine_digest(bed.xen.machine) == self.digest
+        raise CheckpointDiverged(self.digest, machine_digest(machine))

@@ -28,14 +28,15 @@ pool's worker-fault hook (the chaos harness's kills, hangs, snapshot
 corruptions and restore wedges) before each job and each restore.
 Persistent processes accumulate state and cached snapshots can rot, so:
 
-* every restore is **verified** against the whole capture-time
-  machine (each frame byte-equal to the snapshot, each rewritten
-  frame at its capture-time sha1, each blob's fingerprint); a
-  mismatch evicts the cache entry, cold-boots a
-  fresh testbed, emits a structured ``restore-diverged`` event and is
-  counted in the pool's infrastructure ``stats``.  The Python layers
-  need no such check: each restore rebuilds them from the
-  checkpoint's private copies, and a test proves those are complete;
+* every restore rewrites only the machine frames whose bytes differ
+  from the snapshot and is then **verified** against the capture
+  (the capture-time frame set, each rewritten frame at its
+  capture-time sha1, each blob's fingerprint); a mismatch evicts the
+  cache entry, cold-boots a fresh testbed, emits a structured
+  ``restore-diverged`` event and is counted in the pool's
+  infrastructure ``stats``.  The Python layers need no such check:
+  each restore rebuilds them from the checkpoint's private copies,
+  and a test proves those are complete;
 * every result frame carries what its job did to the worker — the
   restore-diverged records, the cache-counter delta and the peak RSS —
   so the pool counts each job exactly once and can **recycle** a

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import IO, Callable, Dict, List, Optional, Tuple
 
 from repro.runner import events as ev
+from repro.runner.jobs import JobSpec
 from repro.runner.pool import Runner, make_runner
 from repro.runner.store import ResultStore, StoreBusy, StoreCorrupt
 from repro.service import journal as jn
@@ -122,8 +123,10 @@ class EventStream:
     flush but do not fsync; a torn tail costs a progress line, never a
     result.  Sequence numbers continue across restarts, which is what
     makes SSE ``Last-Event-ID`` reconnection exact.  The append handle
-    is opened by the first append, so a stream that only replays a
-    finished campaign holds no file descriptor.
+    is opened by the first append and closed by a final event before
+    subscribers hear it, so a stream that only replays a finished
+    campaign holds no file descriptor, and neither does one whose
+    final frame a client has already read.
     """
 
     def __init__(self, path: str, loop_ref: Callable[[], Optional[asyncio.AbstractEventLoop]]):
@@ -149,6 +152,8 @@ class EventStream:
                 self._handle = jn.open_append(self._path, self._good)
             self._handle.write((json.dumps(record, sort_keys=True) + "\n").encode())
             self._handle.flush()
+            if event.get("final"):
+                self._release()
         loop = self._loop_ref()
         if loop is not None and not loop.is_closed():
             try:
@@ -179,12 +184,19 @@ class EventStream:
 
     def close(self) -> None:
         with self._lock:
-            if self._handle is None:
-                return
-            try:
-                self._handle.close()
-            except OSError:
-                pass
+            self._release()
+
+    def _release(self) -> None:
+        """Close the append handle; a later append reopens it after
+        the bytes written so far."""
+        handle, self._handle = self._handle, None
+        if handle is None:
+            return
+        try:
+            self._good = handle.tell()
+            handle.close()
+        except OSError:
+            pass
 
 
 class Supervisor:
@@ -394,65 +406,72 @@ class Supervisor:
             os.replace(store_path, store_path + ".corrupt")
             store = ResultStore(store_path)
         try:
-            store.register(specs)
-            record.state = jn.RUNNING
-            record.detail = ""
-            self.journal.append("state", id=cid, state=jn.RUNNING, detail="")
-            self.registry.upsert(record)
-            self._emit(record, ev.CAMPAIGN_STARTED, total=record.total_jobs)
-
-            stream = self._stream_for(record)
-            self._since_ack[cid] = 0
-            degrades = 0
-            fallback = False
-            todo = specs
-            while True:
-                self._circuit[cid] = ""
-                runner = self._make_runner(record, store, stream, fallback)
-                with self._lock:
-                    # Publish the runner before running so a drain
-                    # arriving mid-pass can reach request_stop(); a
-                    # drain that already happened skips the pass.
-                    drained = self._draining
-                    if not drained:
-                        self._runners[cid] = runner
-                if drained:
-                    self._ack(record, store)
-                    self._finish(record, jn.INTERRUPTED, "drained")
-                    return
-                outcome = runner.run(todo, store=store)
-                if outcome.interrupted:
-                    self._ack(record, store)
-                    self._finish(
-                        record, jn.INTERRUPTED,
-                        outcome.interrupt_signal or "stopped",
-                    )
-                    return
-                tripped = self._circuit.get(cid, "")
-                if not tripped or degrades >= _DEGRADE_LIMIT:
-                    break
-                # A fork-server pool may already have degraded and
-                # finished most jobs itself: fall back over the rest.
-                done = store.completed_ids()
-                todo = [spec for spec in specs if spec.job_id not in done]
-                if not todo:
-                    break
-                degrades += 1
-                record.degraded = True
-                record.detail = tripped
-                self.journal.append("degraded", id=cid, detail=tripped)
-                self.registry.upsert(record)
-                self._emit(record, ev.CAMPAIGN_DEGRADED, detail=tripped)
-                fallback = True
-
-            self._ack(record, store)
-            summary = store.summary()
-            failed = summary.total - summary.done
-            state = jn.DONE if failed == 0 else jn.FAILED
-            detail = "" if failed == 0 else f"{failed} job(s) failed"
-            self._finish(record, state, detail)
+            state, detail = self._run_passes(record, store, specs)
         finally:
             store.close()
+        # The shard store is closed before the final event is published,
+        # so a client that has seen it sees the campaign's fds released.
+        self._finish(record, state, detail)
+
+    def _run_passes(
+        self, record: CampaignRecord, store: ResultStore, specs: List[JobSpec]
+    ) -> Tuple[str, str]:
+        """Run ``specs`` into ``store``, degrading to the fallback
+        runner when a pass trips the circuit; the terminal
+        ``(state, detail)``."""
+        cid = record.campaign_id
+        store.register(specs)
+        record.state = jn.RUNNING
+        record.detail = ""
+        self.journal.append("state", id=cid, state=jn.RUNNING, detail="")
+        self.registry.upsert(record)
+        self._emit(record, ev.CAMPAIGN_STARTED, total=record.total_jobs)
+
+        stream = self._stream_for(record)
+        self._since_ack[cid] = 0
+        degrades = 0
+        fallback = False
+        todo = specs
+        while True:
+            self._circuit[cid] = ""
+            runner = self._make_runner(record, store, stream, fallback)
+            with self._lock:
+                # Publish the runner before running so a drain
+                # arriving mid-pass can reach request_stop(); a
+                # drain that already happened skips the pass.
+                drained = self._draining
+                if not drained:
+                    self._runners[cid] = runner
+            if drained:
+                self._ack(record, store)
+                return jn.INTERRUPTED, "drained"
+            outcome = runner.run(todo, store=store)
+            if outcome.interrupted:
+                self._ack(record, store)
+                return jn.INTERRUPTED, outcome.interrupt_signal or "stopped"
+            tripped = self._circuit.get(cid, "")
+            if not tripped or degrades >= _DEGRADE_LIMIT:
+                break
+            # A fork-server pool may already have degraded and
+            # finished most jobs itself: fall back over the rest.
+            done = store.completed_ids()
+            todo = [spec for spec in specs if spec.job_id not in done]
+            if not todo:
+                break
+            degrades += 1
+            record.degraded = True
+            record.detail = tripped
+            self.journal.append("degraded", id=cid, detail=tripped)
+            self.registry.upsert(record)
+            self._emit(record, ev.CAMPAIGN_DEGRADED, detail=tripped)
+            fallback = True
+
+        self._ack(record, store)
+        summary = store.summary()
+        failed = summary.total - summary.done
+        if failed == 0:
+            return jn.DONE, ""
+        return jn.FAILED, f"{failed} job(s) failed"
 
     def _make_runner(self, record, store, stream, fallback: bool) -> Runner:
         callback = self._callback_for(record, store, stream)
@@ -504,15 +523,14 @@ class Supervisor:
             if state == jn.INTERRUPTED
             else ev.CAMPAIGN_FINISHED
         )
+        # The final append closes the log's handle before it fans out;
+        # subscribers keep their own reference to the stream, and a
+        # later reader reopens the log.
         self._emit(record, kind, final=True, state=state, detail=detail)
-        # The final event is on disk and fanned out; subscribers keep
-        # their own reference, and a later reader reopens the log.
         with self._lock:
-            stream = self._streams.pop(record.campaign_id, None)
+            self._streams.pop(record.campaign_id, None)
             self._since_ack.pop(record.campaign_id, None)
             self._circuit.pop(record.campaign_id, None)
-        if stream is not None:
-            stream.close()
 
     def _emit(self, record: CampaignRecord, kind: str, final: bool = False, **fields):
         stream = self._stream_for(record)

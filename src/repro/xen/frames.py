@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from repro.errors import EBUSY, EINVAL, EPERM, HypercallError
 from repro.probes import points as probe_points
@@ -99,9 +99,9 @@ class FrameTable:
         self.machine = machine
         self._info: Dict[int, PageInfo] = {}
         #: Every record handed out since generation ``_generation``
-        #: began (see :meth:`Machine.begin_generation`; nothing is
-        #: tracked outside one): a caller may mutate any record it was
-        #: given, so handing one out is what marks it dirty.
+        #: began (a checkpoint's token; nothing is tracked outside
+        #: one): a caller may mutate any record it was given, so
+        #: handing one out is what marks it dirty.
         self._generation: Optional[object] = None
         self._dirty: Set[int] = set()
         self._p_frame_ref = machine.probes.point(probe_points.FRAME_REF)
@@ -145,7 +145,7 @@ class FrameTable:
 
     def restore_info(self, saved: Dict[int, PageInfo]) -> None:
         """Replace every record with a private copy of ``saved``; this
-        ends the generation being tracked (see :meth:`dirty_since`)."""
+        ends the generation being tracked (see :meth:`restore_since`)."""
         self.begin_generation(None)
         self._info = {mfn: record.copy() for mfn, record in saved.items()}
 
@@ -154,28 +154,33 @@ class FrameTable:
         self._generation = generation
         self._dirty = set()
 
-    def dirty_since(self, generation: object) -> Optional[Set[int]]:
-        """The MFNs of records handed out since ``generation`` began,
-        or ``None`` when the table is tracking another generation."""
-        if generation is not self._generation:
-            return None
-        return self._dirty
+    def restore_since(self, saved: Dict[int, PageInfo], generation: object) -> None:
+        """Roll back to ``saved``, the records as ``generation`` began,
+        then start tracking ``generation`` anew.
 
-    def restore_records(self, saved: Dict[int, PageInfo], mfns: Iterable[int]) -> None:
-        """Replace the records of ``mfns`` with private copies of
-        ``saved``'s, dropping those ``saved`` lacks.
-
-        Within one generation the table only gains keys, so records
-        born since the capture sit after every saved one: dropping them
-        leaves ``saved``'s key order.
+        When the table is tracking ``generation``, only the records
+        handed out since it began are replaced with private copies of
+        ``saved``'s (or dropped where ``saved`` lacks them): within
+        one generation the table only gains keys, so records born since
+        sit after every saved one and dropping them leaves ``saved``'s
+        key order.  A table tracking another generation (a second
+        checkpoint, or a :meth:`restore_info` in between) is restored
+        whole.  Copying or even comparing all records costs tens of
+        times what the few handed-out ones do, which is why the table
+        tracks them while the machine, whose frames are compared as
+        raw bytes, does not.
         """
-        info = self._info
-        for mfn in mfns:
-            record = saved.get(mfn)
-            if record is None:
-                info.pop(mfn, None)
-            else:
-                info[mfn] = record.copy()
+        if generation is not self._generation:
+            self.restore_info(saved)
+        else:
+            info = self._info
+            for mfn in self._dirty:
+                record = saved.get(mfn)
+                if record is None:
+                    info.pop(mfn, None)
+                else:
+                    info[mfn] = record.copy()
+        self.begin_generation(generation)
 
     # -- general references ----------------------------------------------------
 

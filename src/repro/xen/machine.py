@@ -12,11 +12,16 @@ marker word written into the frame so that scans and overwrites behave
 consistently.  Executing memory means looking up the blob at the
 translated coordinate — if no blob is there, the "CPU" faults, exactly
 as jumping into garbage would.
+
+The write paths record nothing for checkpoints: a rollback
+(:meth:`repro.xen.snapshot.MachineSnapshot.restore`) finds what
+changed by comparing every frame with its snapshot, so a write costs
+the same whether or not a checkpoint is held.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,15 +56,6 @@ class Machine:
         self._blobs: Dict[Tuple[int, int], object] = {}
         self._free: List[int] = list(range(num_frames - 1, -1, -1))
         self._allocated: set = set()
-        #: Write-path dirty tracking for checkpoint restores: the frames
-        #: written since generation ``_generation`` began, and whether
-        #: the blob map or the allocator changed since then.  Fed by the
-        #: ``_*_impl`` write paths themselves, not by probe subscribers:
-        #: a write pays one test, plus one set insertion once a
-        #: checkpoint capture has begun a generation.
-        self._generation: Optional[object] = None
-        self._dirty: Set[int] = set()
-        self._meta_dirty = False
         #: The probe bus of this machine (shared with the ``Xen`` built
         #: on it).  The mutating memory operations below are compiled
         #: against cached point objects: with no subscribers the probe
@@ -88,7 +84,6 @@ class Machine:
             raise MachineError("out of machine memory")
         mfn = self._free.pop()
         self._allocated.add(mfn)
-        self._meta_dirty = True
         self.zero_frame(mfn)
         return mfn
 
@@ -100,7 +95,6 @@ class Machine:
         if mfn not in self._allocated:
             raise MachineError(f"double free of mfn {mfn:#x}")
         self._allocated.remove(mfn)
-        self._meta_dirty = True
         self.zero_frame(mfn)
         self._free.append(mfn)
 
@@ -110,24 +104,6 @@ class Machine:
     @property
     def frames_free(self) -> int:
         return len(self._free)
-
-    # -- dirty tracking ------------------------------------------------------
-
-    def begin_generation(self, generation: Optional[object]) -> None:
-        """Forget every recorded write and start tracking writes made
-        after ``generation`` (a checkpoint's token) began.  A wholesale
-        restore passes ``None``: it ends every checkpoint's generation."""
-        self._generation = generation
-        self._dirty = set()
-        self._meta_dirty = False
-
-    def dirty_since(self, generation: object) -> Optional[Tuple[Set[int], bool]]:
-        """``(frames written, blob map or allocator changed)`` since
-        ``generation`` began, or ``None`` when the machine is tracking
-        another generation and every frame must count as written."""
-        if generation is not self._generation:
-            return None
-        return self._dirty, self._meta_dirty
 
     # -- word access -------------------------------------------------------
 
@@ -163,12 +139,7 @@ class Machine:
         self._check_index(index)
         frame = self._frame(mfn)
         frame[index] = value & _WORD_MASK
-        if self._generation is not None:
-            self._dirty.add(mfn)
-        key = (mfn, index)
-        if key in self._blobs:
-            del self._blobs[key]
-            self._meta_dirty = True
+        self._blobs.pop((mfn, index), None)
 
     def entries_with(self, mfn: int, mask: int) -> List[Tuple[int, int]]:
         """``(index, value)`` of every word of frame ``mfn`` that has any
@@ -203,13 +174,9 @@ class Machine:
     def _zero_frame_impl(self, mfn: int) -> None:
         self.check_mfn(mfn)
         self._frames.pop(mfn, None)
-        if self._generation is not None:
-            self._dirty.add(mfn)
         stale = [key for key in self._blobs if key[0] == mfn]
         for key in stale:
             del self._blobs[key]
-        if stale:
-            self._meta_dirty = True
 
     def copy_frame(self, src_mfn: int, dst_mfn: int) -> None:
         point = self._p_copy_frame
@@ -221,14 +188,11 @@ class Machine:
         # Clear through the public method: the nested zero_frame probe
         # must fire, exactly as the pre-refactor instance hooks saw it.
         self.zero_frame(dst_mfn)
-        if self._generation is not None:
-            self._dirty.add(dst_mfn)
         if src_mfn in self._frames:
             self._frames[dst_mfn] = self._frames[src_mfn].copy()
         for (mfn, index), blob in list(self._blobs.items()):
             if mfn == src_mfn:
                 self._blobs[(dst_mfn, index)] = blob
-                self._meta_dirty = True
 
     # -- physical byte-address helpers --------------------------------------
 
@@ -268,10 +232,7 @@ class Machine:
         self._check_index(index)
         frame = self._frame(mfn)
         frame[index] = BLOB_MARKER & _WORD_MASK
-        if self._generation is not None:
-            self._dirty.add(mfn)
         self._blobs[(mfn, index)] = blob
-        self._meta_dirty = True
 
     def blob_at(self, mfn: int, index: int) -> Optional[object]:
         return self._blobs.get((mfn, index))

@@ -8,19 +8,25 @@ exactly which words changed.  The differential-equivalence analysis
 (:mod:`repro.core.differential`) builds on this to compare an exploit
 run against an injection run location by location.
 
-Snapshots are also the substrate of ReHype-style microreboot recovery
-(:mod:`repro.resilience.recovery`): :meth:`MachineSnapshot.restore`
-rolls a machine back to the captured contents — words, code blobs and
-the frame allocator — so a campaign can recover the simulated
-hypervisor after a :class:`~repro.errors.HypervisorCrash` instead of
-abandoning the trial.
+Snapshots are also the one machine rollback.  ReHype-style
+microreboot recovery (:mod:`repro.resilience.recovery`) and the
+fork-server's checkpoint restore (:mod:`repro.core.checkpoint`) both
+call :meth:`MachineSnapshot.restore` (or :meth:`~MachineSnapshot.rollback`,
+which also names the frames it rewrote) to roll a machine back to the
+captured contents — words, code blobs and the frame allocator — so a
+campaign can recover the simulated hypervisor after a
+:class:`~repro.errors.HypervisorCrash`, or start the next trial from
+a clean system, without a reboot.  The rollback compares rather than
+trusts a record of what was written: it rewrites exactly the frames
+whose bytes differ, so the machine's write paths keep no bookkeeping
+for it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -117,9 +123,9 @@ class MachineSnapshot:
         self,
         frames: Dict[int, np.ndarray],
         num_frames: int,
-        blobs: Optional[Dict[Tuple[int, int], object]] = None,
-        allocated: Optional[Set[int]] = None,
-        free: Optional[List[int]] = None,
+        blobs: Dict[Tuple[int, int], object],
+        allocated: Set[int],
+        free: List[int],
     ):
         self._frames = frames
         self.num_frames = num_frames
@@ -190,68 +196,55 @@ class MachineSnapshot:
     def restore(self, machine: Machine) -> int:
         """Roll ``machine`` back to this snapshot's contents.
 
-        Restores every frame's words, the blob map, and — when the
-        snapshot captured them — the allocator's free list and
-        allocated set, so subsequent :meth:`diff` calls against the
-        restored machine are empty and later allocations proceed
-        exactly as they would have from the checkpoint.
+        Restores every frame's words, the blob map, and the
+        allocator's free list and allocated set, so subsequent
+        :meth:`diff` calls against the restored machine are empty and
+        later allocations proceed exactly as they would have from the
+        checkpoint.
 
         Returns the number of words that had to be rewritten (the size
         of the diff at restore time), which recovery reports surface as
-        the rollback's footprint.  The rewrite bypasses the machine's
-        write paths, so it ends the machine's dirty-tracking generation.
+        the rollback's footprint.
         """
-        self._check_geometry(machine)
-        rewritten = self.changed_words(machine)
-        machine._frames = {  # noqa: SLF001 — restore is privileged
-            mfn: frame.copy() for mfn, frame in self._frames.items()
-        }
-        self.restore_meta(machine)
-        machine.begin_generation(None)
-        return rewritten
+        return self.rollback(machine)[0]
 
-    def restore_frames(self, machine: Machine, mfns: Iterable[int]) -> int:
-        """Roll back only frames ``mfns``; the words rewritten.
+    def rollback(self, machine: Machine) -> Tuple[int, List[int]]:
+        """:meth:`restore`, also naming the frames it rewrote.
 
-        Exact when every other frame already equals the snapshot, which
-        is what a checkpoint restore verifies afterwards.
+        Returns ``(words rewritten, MFNs of the snapshot frames it
+        rewrote)``.  The rollback is driven by a byte compare, not by
+        any record of what was written: one pass over the snapshot's
+        frames rewrites only those whose bytes differ from the live
+        frame (a frame already equal keeps its array), then frames
+        materialised since the capture are dropped.  The blob map and
+        the allocator are replaced only when they differ, key order
+        included.  A write that bypassed the machine's write paths is
+        therefore undone like any other.
         """
         self._check_geometry(machine)
         live = machine._frames  # noqa: SLF001 — restore is privileged
-        rewritten = 0
-        for mfn in mfns:
-            saved = self._frames.get(mfn)
+        saved_frames = self._frames
+        words = 0
+        rewritten: List[int] = []
+        for mfn, saved in saved_frames.items():
             frame = live.get(mfn)
-            if saved is None:
-                if frame is not None:
-                    rewritten += int(np.count_nonzero(frame))
-                    del live[mfn]
-                continue
             if frame is None:
-                rewritten += int(np.count_nonzero(saved))
+                words += int(np.count_nonzero(saved))
+            elif frame.tobytes() == saved.tobytes():
+                continue
             else:
-                rewritten += int(np.count_nonzero(saved != frame))
+                words += int(np.count_nonzero(frame != saved))
             live[mfn] = saved.copy()
-        return rewritten
-
-    def restore_meta(self, machine: Machine) -> None:
-        """Roll back the blob map and, when captured, the allocator."""
-        if self._blobs is not None:
+            rewritten.append(mfn)
+        if len(live) > len(saved_frames):
+            for mfn in live.keys() - saved_frames.keys():
+                words += int(np.count_nonzero(live.pop(mfn)))
+        if list(machine._blobs.items()) != list(self._blobs.items()):  # noqa: SLF001
             machine._blobs = dict(self._blobs)  # noqa: SLF001
-        if self._allocated is not None and self._free is not None:
+        if machine._free != self._free or machine._allocated != self._allocated:  # noqa: SLF001
             machine._allocated = set(self._allocated)  # noqa: SLF001
             machine._free = list(self._free)  # noqa: SLF001
-
-    def frames_equal(self, machine: Machine) -> bool:
-        """Are ``machine``'s materialised frames exactly this
-        snapshot's, byte for byte?"""
-        live = machine._frames  # noqa: SLF001
-        if live.keys() != self._frames.keys():
-            return False
-        return all(
-            frame.tobytes() == live[mfn].tobytes()
-            for mfn, frame in self._frames.items()
-        )
+        return words, rewritten
 
     def _check_geometry(self, machine: Machine) -> None:
         if machine.num_frames != self.num_frames:

@@ -8,9 +8,9 @@ failing comparison names the exact attribute that leaked:
 
 * machine frames are represented by their digest (words and attached
   blobs, :func:`~repro.xen.snapshot.machine_digest`);
-* the machine's and the frame table's dirty-tracking bookkeeping
-  (``_generation``, ``_dirty``, ``_meta_dirty``) is skipped: it records
-  what was written since a checkpoint, not what the bed is;
+* the frame table's dirty-tracking bookkeeping (``_generation``,
+  ``_dirty``) is skipped: it records which records were handed out
+  since a checkpoint, not what the bed is;
 * probe buses and callables (functions, bound methods, classes) are
   represented by their name: they are wiring, not state;
 * an object reached a second time is represented by the path it was
@@ -44,8 +44,8 @@ _CALLABLES = (
     types.BuiltinMethodType,
     type,
 )
-#: Dirty-tracking fields: checkpoint bookkeeping, not bed state.
-_BOOKKEEPING = frozenset({"_generation", "_dirty", "_meta_dirty"})
+#: The frame table's dirty-tracking fields: checkpoint bookkeeping, not bed state.
+_BOOKKEEPING = frozenset({"_generation", "_dirty"})
 
 
 def _callable_name(obj: Any) -> str:
@@ -96,7 +96,7 @@ def walk(root: Any) -> List[Tuple[str, Any]]:
         if isinstance(obj, Machine):
             out.append((f"{path}.<digest>", machine_digest(obj)))
             for name, value in _fields(obj):
-                if name not in _BOOKKEEPING | {"_frames", "_blobs"}:
+                if name not in {"_frames", "_blobs"}:
                     visit(value, f"{path}.{name}")
             return
         if isinstance(obj, np.ndarray):

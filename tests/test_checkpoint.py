@@ -7,11 +7,14 @@ The restore verifies only the machine, so the proof that the Python
 layers (event channels, grant tables, xenstore, the network, guest
 kernels, ...) are complete is this test: after any cell, the restored
 bed's canonical walk equals a freshly booted bed's.  The restore also
-rewrites only the frames and frame-table records the write paths
-marked dirty; a property over random mutator sequences checks that
-the marks cover every public mutator.
+rewrites only what changed: machine frames whose bytes differ from the
+snapshot, and the frame-table records the table handed out since the
+capture.  A property over random mutator sequences checks that this
+covers every public mutator, and a direct poke at a frame that
+bypasses every write path.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,7 +115,9 @@ class _Blob:
         self.tag = tag
 
 
-_MUTATORS = ("write", "blob", "zero", "copy", "alloc", "free", "record", "assign", "release")
+_MUTATORS = (
+    "write", "blob", "zero", "copy", "alloc", "free", "record", "assign", "release", "poke",
+)
 _MUTATIONS = st.lists(
     st.tuples(
         st.sampled_from(_MUTATORS),
@@ -126,8 +131,9 @@ _MUTATIONS = st.lists(
 
 def _mutate(bed, mutations) -> None:
     """Apply ``(mutator, a, b, value)`` steps through the public
-    ``Machine`` and ``FrameTable`` mutators, over booted frames and a
-    few frames no boot touched."""
+    ``Machine`` and ``FrameTable`` mutators, or a ``poke`` straight into
+    ``Machine._frames`` that bypasses every write path, over booted
+    frames and a few frames no boot touched."""
     machine, frames = bed.xen.machine, bed.xen.frames
     mfns = sorted(machine._frames) + [machine.num_frames - 1 - i for i in range(4)]
     for name, a, b, value in mutations:
@@ -153,6 +159,9 @@ def _mutate(bed, mutations) -> None:
             record.type = list(PageType)[value % len(PageType)]
         elif name == "assign":
             frames.assign(mfn, value % 4, pfn=b)
+        elif name == "poke":
+            machine._frames.setdefault(mfn, np.zeros(WORDS_PER_PAGE, dtype=np.uint64))
+            machine._frames[mfn][index] = np.uint64(value)
         else:
             record = frames.info(mfn)
             record.count = record.type_count = 0

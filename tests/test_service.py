@@ -914,6 +914,21 @@ class TestGracefulShutdown:
     def test_server_fds_stay_flat_and_finished_campaigns_replay(self, tmp_path):
         process, client, _ = spawn_server(tmp_path)
         fd_dir = f"/proc/{process.pid}/fd"
+
+        def settled_fds() -> int:
+            """The server's fd count once it holds still: the server
+            closes a stream's connection on its loop just after the
+            client has read the final frame.  Bounded at 5 s."""
+            count = len(os.listdir(fd_dir))
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                time.sleep(0.05)
+                again = len(os.listdir(fd_dir))
+                if again == count:
+                    break
+                count = again
+            return count
+
         try:
             streamed = {}
             for i in range(50):
@@ -923,8 +938,8 @@ class TestGracefulShutdown:
                 assert frames[-1]["event"]["final"] is True
                 streamed[payload["id"]] = frames
                 if i == 9:
-                    fds = len(os.listdir(fd_dir))
-            assert len(os.listdir(fd_dir)) <= fds
+                    fds = settled_fds()
+            assert settled_fds() <= fds
             for cid, frames in list(streamed.items())[::10]:
                 assert list(client.stream(cid, timeout=60)) == frames
         finally:

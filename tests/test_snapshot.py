@@ -84,16 +84,33 @@ class TestRestoreInverse:
         for mfn, word, value in writes:
             machine.write_word(mfn, word, value)
         expected = len(snapshot.diff(machine))
+        changed = snapshot.changed_frames(machine)
+        before = dict(machine._frames)
         rewritten = snapshot.restore(machine)
         assert rewritten == expected  # the count is the diff's length
         assert snapshot.diff(machine) == []
         assert machine.read_word(1, 1) == 42
+        # a frame already equal to the snapshot keeps its array
+        for mfn, frame in machine._frames.items():
+            if mfn not in changed and mfn in before:
+                assert frame is before[mfn], mfn
         # the footprint never exceeds the number of distinct locations
         assert rewritten <= len({(m, w) for m, w, _v in writes})
         # frames only the snapshot materialised count against zero
         fresh = Machine(128)
         expected = len(snapshot.diff(fresh))
         assert snapshot.restore(fresh) == expected
+
+    def test_rollback_names_the_frames_it_rewrote(self, machine):
+        machine.write_word(1, 1, 42)
+        machine.write_word(2, 2, 43)
+        snapshot = MachineSnapshot.capture(machine)
+        machine.write_word(2, 2, 0)  # differs from the snapshot
+        machine.zero_frame(1)  # dematerialised; the rollback brings it back
+        machine.write_word(3, 3, 44)  # born since the capture
+        assert snapshot.rollback(machine) == (3, [1, 2])
+        assert sorted(machine._frames) == [1, 2]
+        assert snapshot.rollback(machine) == (0, [])
 
     def test_restore_rewinds_the_allocator(self, machine):
         snapshot = MachineSnapshot.capture(machine)
@@ -104,6 +121,15 @@ class TestRestoreInverse:
         # allocation proceeds exactly as it would have from the capture
         assert machine.alloc_frame() == first
         assert machine.read_word(first, 0) == 0
+
+    def test_restore_rewinds_the_free_list_order(self, machine):
+        snapshot = MachineSnapshot.capture(machine)
+        first, second = machine.alloc_frame(), machine.alloc_frame()
+        machine.free_frame(first)
+        machine.free_frame(second)  # same allocated set, frees reordered
+        snapshot.restore(machine)
+        assert machine.alloc_frame() == first
+        assert machine.alloc_frame() == second
 
     def test_restore_after_arbitrary_access_revalidates_census(self, bed46):
         """The injector's mutations roll back cleanly and the frame
