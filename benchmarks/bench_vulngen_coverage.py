@@ -12,7 +12,8 @@ actually covered.
 """
 
 from benchmarks.conftest import publish
-from repro.vulngen import CoverageFuzzCampaign, generate_corpus
+from repro.vulngen.corpus import generate_corpus
+from repro.vulngen.schedule import CoverageFuzzCampaign
 from repro.xen.versions import XEN_4_6
 
 CORPUS_SEED = 20230701

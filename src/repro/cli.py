@@ -773,7 +773,8 @@ def _cmd_fuzz_coverage(args) -> int:
             file=sys.stderr,
         )
         return 2
-    from repro.vulngen import CoverageFuzzCampaign, generate_corpus
+    from repro.vulngen.corpus import generate_corpus
+    from repro.vulngen.schedule import CoverageFuzzCampaign
 
     corpus = generate_corpus(args.corpus_seed, args.corpus_size)
     runner, _ = _runner_from_args(args)
@@ -798,7 +799,7 @@ def _cmd_fuzz_coverage(args) -> int:
 
 
 def _cmd_vulngen(args) -> int:
-    from repro.vulngen import generate_corpus, is_synthetic_id, spec_by_id
+    from repro.vulngen.corpus import generate_corpus, is_synthetic_id, spec_by_id
 
     if args.resolve:
         if not is_synthetic_id(args.resolve):

@@ -7,8 +7,13 @@ waits for the stdlib ``forkserver``'s own interpreter boot before its
 first worker starts.  The pool's fork-server configuration
 (``fork_server=True``, or :class:`ForkServerPool`) removes both costs:
 
-* workers start via the ``fork`` context (the parent's warm imports,
-  ~2ms, no server to boot);
+* workers start via the ``fork`` context from a parent that has
+  imported :data:`~repro.runner.jobs.WORKER_PRELOAD` (the pool does so
+  before its first fork, 38–47 ms once per process after
+  ``import repro.cli``), so there is no server to boot and a job
+  imports nothing.  On a 2-CPU host a worker reports ready 3.5–4.4 ms
+  after ``start()``, and its first fuzz trial takes 9–10 ms, the boot
+  and capture of its bed (medians of 5 fresh workers, two runs);
 * each worker keeps a **snapshot cache** keyed by (version,
   topology): the first matrix cell or classic fuzz trial of a key
   boots a testbed and captures a
@@ -16,8 +21,9 @@ first worker starts.  The pool's fork-server configuration
   *restores* the checkpoint in place instead of rebuilding the machine
   (traced, ``--metrics`` and ``--recover`` cells included; synthetic
   corpus trials and the other job kinds boot cold);
-* jobs travel in **batches** over the per-worker length-prefixed
-  pipes, amortizing IPC and scheduling overhead.
+* each worker gets the run's plan once and jobs travel as
+  ``(plan index, attempt)`` pairs, in **batches** over the per-worker
+  length-prefixed pipes, amortizing IPC and scheduling overhead.
 
 This module holds the worker side of every pool: the snapshot cache
 and the one worker main.  The cache is only a testbed source —
@@ -62,7 +68,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.runner.jobs import JobSpec, TransientJobError, execute_job
 from repro.runner.pool import JobFn, WorkerPool
@@ -71,8 +77,11 @@ from repro.runner.pool import JobFn, WorkerPool
 def preferred_context() -> str:
     """The fork-server configuration's start method: ``fork``.
 
-    Fork inherits the parent's warm imports (~2ms to a live worker vs
-    ~0.5s for a fresh interpreter), with no forkserver to boot first.
+    Fork inherits the parent's warm imports, with no forkserver to boot
+    first.  On a 2-CPU host a forked worker reports ready 3.5–4.4 ms
+    after ``start()``.  The first worker of the stdlib forkserver takes
+    0.34–0.47 s, most of it the server's interpreter boot and preload,
+    and a later one 15–22 ms.
     """
     return "fork"
 
@@ -177,6 +186,7 @@ def execute_job_cached(spec: JobSpec, attempt: int = 0) -> Dict[str, object]:
 def _forkserver_worker_main(
     worker_id: int,
     job_fn: JobFn,
+    plan: Sequence[JobSpec],
     inbox: Any,
     outbox: Any,
     heartbeat: Any = None,
@@ -184,6 +194,12 @@ def _forkserver_worker_main(
     faults: Optional[Any] = None,
 ) -> None:
     """The worker loop of every pool: take a batch, stream results, repeat.
+
+    ``plan`` is the run's job list; a batch names its members by
+    ``(plan index, attempt)``.  A ``fork``-started worker inherits the
+    plan, a forkserver-started one unpickles it once at start, and
+    either way each spec arrives with the job ID the parent already
+    derived, so nothing is decoded or hashed per job.
 
     Signal discipline for *persistent* workers: SIGINT is ignored (a
     terminal Ctrl-C reaches the whole foreground process group; the
@@ -229,8 +245,8 @@ def _forkserver_worker_main(
             return  # the parent closed our inbox (or died): shut down
         if item is None:
             return
-        for spec_json, attempt in item:
-            spec = JobSpec.from_json(spec_json)
+        for index, attempt in item:
+            spec = plan[index]
             started = time.perf_counter()
             status, retryable = "done", False
             payload: object

@@ -20,9 +20,13 @@ a pool of ``multiprocessing`` workers, in one of two configurations:
   directory, so the frozen ``os.environ`` is never observable.  Workers
   take one job per dispatch and boot a fresh testbed for each.
 * **fork-server** (``fork_server=True``, see
-  :mod:`repro.runner.forkserver`) — workers fork from this process,
-  take jobs in batches and serve matrix cells and classic fuzz trials
-  from a verified snapshot cache.
+  :mod:`repro.runner.forkserver`) — workers fork from this process once
+  it has imported the same preload list, take jobs in batches and
+  serve matrix cells and classic fuzz trials from a verified snapshot
+  cache.
+
+Either way a worker gets the run's plan once, at start, and the
+parent sends it only ``(plan index, attempt)`` pairs.
 
 The parent owns all scheduling state and the result store, which buys
 properties the serial campaign loop cannot offer:
@@ -58,6 +62,7 @@ persistence/resume story.
 from __future__ import annotations
 
 import atexit
+import importlib
 import multiprocessing
 import multiprocessing.connection
 import multiprocessing.forkserver
@@ -222,17 +227,18 @@ class _Ledger:
         self.retries = retries
         self.backoff = backoff
         self.max_backoff = max_backoff
-        #: The jobs this run still has to execute, in plan order.
-        self.remaining = self.specs
+        #: The plan indices of the jobs this run still has to execute,
+        #: in plan order.
+        self.remaining = list(range(len(self.specs)))
         if store is None:
             return
         store.register(self.specs)
         done = store.completed_ids()
         self.remaining = []
-        for spec in self.specs:
+        for index, spec in enumerate(self.specs):
             payload = store.payload(spec.job_id) if spec.job_id in done else None
             if payload is None:
-                self.remaining.append(spec)
+                self.remaining.append(index)
                 continue
             self.outcome.results[spec.job_id] = payload
             self.outcome.skipped.add(spec.job_id)
@@ -390,7 +396,8 @@ class SerialRunner(_Runner):
         super().__init__(retries, backoff, max_backoff, job_fn, on_event)
 
     def _execute(self, books: _Ledger, stopped: Callable[[], bool]) -> None:
-        for spec in books.remaining:
+        for index in books.remaining:
+            spec = books.specs[index]
             attempt = 0
             while not stopped():
                 books.started(spec, attempt)
@@ -516,7 +523,7 @@ class _Worker:
 
     worker_id: int
     process: multiprocessing.process.BaseProcess
-    inbox: Any  # Connection: parent sends a batch of (spec, attempt) / None
+    inbox: Any  # Connection: parent sends a batch of (index, attempt) / None
     conn: Any = None  # Connection: parent end of the worker's result pipe
     heartbeat: Any = None  # multiprocessing.Value("d") the worker beats
     #: When the member now executing was handed over: the batch's
@@ -529,10 +536,10 @@ class _Worker:
     #: loaded machine can take longer to boot the forkserver's
     #: interpreter on first use than a tight job budget allows.
     ready: bool = False
-    #: The in-flight batch, as (spec, attempt) pairs; results stream
-    #: back in batch order, so ``batch[acked]`` is always the member
-    #: currently executing.
-    batch: List[Tuple[JobSpec, int]] = field(default_factory=list)
+    #: The in-flight batch, as (plan index, attempt) pairs; results
+    #: stream back in batch order, so ``batch[acked]`` is always the
+    #: member currently executing.
+    batch: List[Tuple[int, int]] = field(default_factory=list)
     acked: int = 0
     #: Jobs served over this worker's whole lifetime.
     served: int = 0
@@ -544,7 +551,7 @@ class _Worker:
     def busy(self) -> bool:
         return self.acked < len(self.batch)
 
-    def current(self) -> Tuple[JobSpec, int]:
+    def current(self) -> Tuple[int, int]:
         return self.batch[self.acked]
 
     def last_seen(self) -> float:
@@ -578,7 +585,9 @@ class WorkerPool(_Runner):
       ``forkserver`` (:func:`pool_context`), take one job per dispatch
       and run :func:`~repro.runner.jobs.execute_job` on a fresh testbed;
     * **fork-server**: workers fork from this process (the ``fork``
-      context), take ``batch`` jobs per dispatch and run
+      context) after it imported
+      :data:`~repro.runner.jobs.WORKER_PRELOAD`, take ``batch`` jobs
+      per dispatch and run
       :func:`~repro.runner.forkserver.execute_job_cached`, which serves
       matrix cells and classic fuzz trials from a verified
       snapshot cache.
@@ -663,20 +672,24 @@ class WorkerPool(_Runner):
 
     def _execute(self, books: _Ledger, stopped: Callable[[], bool]) -> None:
         self.stats = {}
-        remaining = [(spec, 0) for spec in books.remaining]
+        # Workers get the plan itself and are sent only (plan index,
+        # attempt) pairs.  Reading every job ID here, before the first
+        # fork, caches it on the specs each worker inherits or unpickles.
+        for spec in books.specs:
+            spec.job_id
+        remaining = [(index, 0) for index in books.remaining]
         fork_server = self.fork_server
         while remaining:
             leftovers = self._run_pass(remaining, fork_server, books, stopped)
             if stopped() or not self._halted:
                 return
             if not fork_server:
-                for spec, attempt in leftovers:
-                    books.fail(spec, attempt, self._halted)
+                for index, attempt in leftovers:
+                    books.fail(books.specs[index], attempt, self._halted)
                 return
             # The degraded pass resumes each job at its next attempt,
             # in plan order.
-            order = {spec.job_id: i for i, spec in enumerate(books.specs)}
-            remaining = sorted(leftovers, key=lambda m: order[m[0].job_id])
+            remaining = sorted(leftovers)
             books.hub.emit(
                 ev.POOL_DEGRADED,
                 detail=(
@@ -690,13 +703,21 @@ class WorkerPool(_Runner):
     # -- configuration and accounting ----------------------------------
 
     def _configure(self, fork_server: bool) -> None:
-        """Select the start context, batch size and job function."""
+        """Select the start context, batch size and job function.
+
+        The fork-server configuration imports
+        :data:`~repro.runner.jobs.WORKER_PRELOAD` here, before the
+        first fork, so its workers start as warm as the spawn
+        configuration's forkserver children.
+        """
         from repro.runner.forkserver import (
             execute_job_cached,
             preferred_context,
         )
 
         if fork_server:
+            for module in WORKER_PRELOAD:
+                importlib.import_module(module)
             self._ctx = multiprocessing.get_context(preferred_context())
             self._batch = self.batch
             self._job_fn = self.job_fn or execute_job_cached
@@ -712,9 +733,9 @@ class WorkerPool(_Runner):
 
     def _run_pass(
         self, jobs, fork_server, books, stopped
-    ) -> List[Tuple[JobSpec, int]]:
-        """Run ``jobs`` — (spec, attempt) pairs — in one configuration
-        until done or stopped.
+    ) -> List[Tuple[int, int]]:
+        """Run ``jobs`` — (plan index, attempt) pairs — in one
+        configuration until done or stopped.
 
         Returns the jobs the pass left unfinished — still queued, or
         un-acked members of an in-flight batch.  They were never
@@ -726,13 +747,13 @@ class WorkerPool(_Runner):
         self._circuit = CircuitBreaker(self.circuit_threshold)
         self._halted = ""
 
-        #: (ready_time, spec, attempt) — backoff delays re-dispatch.
-        pending: List[tuple] = [(0.0, spec, attempt) for spec, attempt in jobs]
+        #: (ready_time, plan index, attempt) — backoff delays re-dispatch.
+        pending: List[tuple] = [(0.0, index, attempt) for index, attempt in jobs]
         workers: Dict[int, _Worker] = {}
         next_worker_id = 0
         try:
             for _ in range(min(self.jobs, len(pending))):
-                workers[next_worker_id] = self._spawn(next_worker_id)
+                workers[next_worker_id] = self._spawn(next_worker_id, books.specs)
                 next_worker_id += 1
             while pending or any(w.busy for w in workers.values()):
                 if stopped() or self._halted:
@@ -741,9 +762,9 @@ class WorkerPool(_Runner):
                 self._drain(workers, pending, books)
                 self._check_workers(workers, pending, books)
                 next_worker_id = self._replenish(
-                    workers, pending, next_worker_id
+                    workers, pending, next_worker_id, books.specs
                 )
-            return [(spec, attempt) for _ready, spec, attempt in pending] + [
+            return [(index, attempt) for _ready, index, attempt in pending] + [
                 member
                 for worker in workers.values()
                 for member in worker.batch[worker.acked:]
@@ -751,7 +772,7 @@ class WorkerPool(_Runner):
         finally:
             self._shutdown(workers)
 
-    def _spawn(self, worker_id: int) -> _Worker:
+    def _spawn(self, worker_id: int, plan: List[JobSpec]) -> _Worker:
         from repro.runner.forkserver import _forkserver_worker_main
 
         # One private pipe pair per worker.  Results never share a
@@ -763,7 +784,7 @@ class WorkerPool(_Runner):
         process = self._ctx.Process(
             target=_forkserver_worker_main,
             args=(
-                worker_id, self._job_fn, inbox_r,
+                worker_id, self._job_fn, plan, inbox_r,
                 self._wrap_outbox(_ResultChannel(result_w)), heartbeat,
                 self.beat_interval, self._worker_faults(),
             ),
@@ -786,30 +807,27 @@ class WorkerPool(_Runner):
         for worker in workers.values():
             if worker.busy or not pending:
                 continue
-            indices = [
+            taken = [
                 i for i, (ready, _, _) in enumerate(pending) if ready <= now
             ][: self._batch]
-            if not indices:
+            if not taken:
                 continue
-            members = [pending[i] for i in indices]
-            for i in reversed(indices):
+            members = [pending[i] for i in taken]
+            for i in reversed(taken):
                 del pending[i]
             worker.batch = [
-                (spec, attempt) for _ready, spec, attempt in members
+                (index, attempt) for _ready, index, attempt in members
             ]
             worker.acked = 0
             worker.started_at = now
             try:
-                worker.inbox.send(
-                    [
-                        (spec.to_json(), attempt)
-                        for spec, attempt in worker.batch
-                    ]
-                )
+                worker.inbox.send(worker.batch)
             except OSError:
                 pass  # worker just died; _check_workers re-queues the batch
-            for spec, attempt in worker.batch:
-                books.started(spec, attempt, worker=worker.worker_id)
+            for index, attempt in worker.batch:
+                books.started(
+                    books.specs[index], attempt, worker=worker.worker_id
+                )
 
     def _drain(self, workers, pending, books) -> None:
         """Process every available worker message (block briefly once).
@@ -874,7 +892,8 @@ class WorkerPool(_Runner):
             return
         if not worker.busy:
             return  # stale result (a chaos duplicate after batch end)
-        spec, attempt = worker.current()
+        index, attempt = worker.current()
+        spec = books.specs[index]
         if spec.job_id != job_id:
             return  # stale or duplicated mid-batch message
         # Only the acked copy of a frame gets here, so a duplicate's
@@ -893,7 +912,7 @@ class WorkerPool(_Runner):
         else:
             detail = str(payload)
             books.attempt_lost(spec, attempt, "error", detail, wall)
-            self._requeue(books, pending, spec, attempt, detail, retryable)
+            self._requeue(books, pending, index, attempt, detail, retryable)
         if not worker.busy:
             worker.batch = []
             worker.acked = 0
@@ -998,7 +1017,8 @@ class WorkerPool(_Runner):
         *campaign* when workers die consecutively regardless of job —
         the first is a bad input, the second a bad environment.
         """
-        spec, attempt = worker.current()
+        index, attempt = worker.current()
+        spec = books.specs[index]
         books.attempt_lost(
             spec, attempt, status, detail, wall, event=event,
             worker=worker.worker_id,
@@ -1010,24 +1030,26 @@ class WorkerPool(_Runner):
             books.attempt_lost(spec, attempt, "quarantined", verdict.render())
             books.fail(spec, attempt, verdict.render(), ev.JOB_QUARANTINED)
         else:
-            self._requeue(books, pending, spec, attempt, detail, True)
+            self._requeue(books, pending, index, attempt, detail, True)
         if self._circuit.record_death():
             self._halted = self._circuit.render()
             books.hub.emit(ev.CIRCUIT_OPEN, detail=self._halted)
 
     @staticmethod
-    def _requeue(books, pending, spec, attempt, detail, retryable) -> None:
+    def _requeue(books, pending, index, attempt, detail, retryable) -> None:
         """Queue the next attempt after its backoff, unless the job failed."""
-        delay = books.retry_or_fail(spec, attempt, detail, retryable)
+        delay = books.retry_or_fail(
+            books.specs[index], attempt, detail, retryable
+        )
         if delay is not None:
-            pending.append((time.monotonic() + delay, spec, attempt + 1))
+            pending.append((time.monotonic() + delay, index, attempt + 1))
 
-    def _replenish(self, workers, pending, next_worker_id) -> int:
+    def _replenish(self, workers, pending, next_worker_id, plan) -> int:
         """Keep the pool sized to the remaining work after kills."""
         busy = sum(1 for w in workers.values() if w.busy)
         target = min(self.jobs, busy + len(pending))
         while len(workers) < target:
-            workers[next_worker_id] = self._spawn(next_worker_id)
+            workers[next_worker_id] = self._spawn(next_worker_id, plan)
             next_worker_id += 1
         return next_worker_id
 

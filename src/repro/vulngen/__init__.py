@@ -37,48 +37,8 @@ count into the hundreds without inventing fake CVEs:
   (entry, seed, mutation) trials, with every scheduling decision a
   pure function of (root seed, observed coverage digests) so parallel
   campaigns equal serial ones byte for byte.
+
+The package imports none of its submodules: import from them directly.
+A worker that needs only :mod:`~repro.vulngen.corpus` then does not pay
+for the scheduler, the renderer and the coverage map.
 """
-
-from repro.vulngen.corpus import (
-    Corpus,
-    VersionGate,
-    VulnSpec,
-    generate_corpus,
-    is_synthetic_id,
-    spec_by_id,
-)
-from repro.vulngen.coverage import CoverageMap, coverage_features
-from repro.vulngen.render import render_pair, render_path, render_source
-from repro.vulngen.schedule import (
-    CoverageFuzzCampaign,
-    CoverageGuidedScheduler,
-    CoverageReport,
-    TrialPlan,
-    UniformScheduler,
-)
-from repro.vulngen.synthetic import MUTATIONS, make_use_case, run_synthetic_trial
-from repro.vulngen.taxonomy import CLASS_RULE_MAP, VulnClass
-
-__all__ = [
-    "CLASS_RULE_MAP",
-    "Corpus",
-    "CoverageFuzzCampaign",
-    "CoverageGuidedScheduler",
-    "CoverageMap",
-    "CoverageReport",
-    "MUTATIONS",
-    "TrialPlan",
-    "UniformScheduler",
-    "VersionGate",
-    "VulnClass",
-    "VulnSpec",
-    "coverage_features",
-    "generate_corpus",
-    "is_synthetic_id",
-    "make_use_case",
-    "render_pair",
-    "render_path",
-    "render_source",
-    "run_synthetic_trial",
-    "spec_by_id",
-]

@@ -129,7 +129,8 @@ def _service_digest(plan: dict, data_dir: str, options: dict) -> str:
 
 
 def _coverage_digests(plan: dict) -> Dict[str, str]:
-    from repro.vulngen import CoverageFuzzCampaign, generate_corpus
+    from repro.vulngen.corpus import generate_corpus
+    from repro.vulngen.schedule import CoverageFuzzCampaign
     from repro.xen.versions import version_by_name
 
     corpus = generate_corpus(plan["corpus_seed"], plan["corpus_size"])

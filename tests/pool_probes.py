@@ -34,3 +34,36 @@ def burn_cpu(spec, attempt):
     while time.process_time() - started < BURN_CPU_S:
         pass
     return {}
+
+
+def report_new_imports(cached, spec, attempt):
+    """Which ``repro`` modules real jobs import inside a warm worker.
+
+    Runs a classic fuzz trial, a default-topology matrix cell and a
+    cross-domain cell through the configuration's executor
+    (``execute_job_cached`` when ``cached``, else ``execute_job``) and
+    reports every ``repro.*`` module that was not loaded when this job
+    began: what a worker still imports after its fork point.
+    """
+    before = {name for name in sys.modules if name.startswith("repro")}
+    from repro.core.topology import CROSS_DOMAIN_TOPOLOGY
+    from repro.runner.forkserver import execute_job_cached
+    from repro.runner.jobs import execute_job, plan_campaign, plan_fuzz
+
+    run = execute_job_cached if cached else execute_job
+    jobs = (
+        plan_fuzz("4.13", ["idt"], 1, 7)
+        + plan_campaign(["XSA-212-crash"], ["4.6"], ["exploit"])
+        + plan_campaign(
+            ["xdom-ring-tamper"], ["4.6"], ["exploit"],
+            topology=CROSS_DOMAIN_TOPOLOGY.spec_value(),
+        )
+    )
+    for job in jobs:
+        run(job, 0)
+    return {
+        "imported": sorted(
+            name for name in sys.modules
+            if name.startswith("repro") and name not in before
+        )
+    }

@@ -20,12 +20,15 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.core.fuzz import FuzzCampaign, trial_seed
-from repro.core.topology import ScenarioTopology
+from repro.core.topology import CROSS_DOMAIN_TOPOLOGY, ScenarioTopology
 from repro.runner import (
     EventRecorder,
     JobSpec,
@@ -150,6 +153,41 @@ class TestJobIdMemo:
         spec = plan_fuzz("4.13", ["idt"], 1, 7)[0]
         other = dataclasses.replace(spec, seed=spec.seed + 1)
         assert spec.job_id != other.job_id == _recomputed_job_id(other)
+
+
+class TestFlatCodec:
+    """The spec codec copies the fields flat, yet writes ``asdict``'s bytes."""
+
+    @given(
+        kind=st.sampled_from(jobs_module.KINDS),
+        text=st.text(max_size=12),
+        seed=st.none() | st.integers(min_value=-(2**63), max_value=2**64),
+        trial=st.none() | st.integers(min_value=0, max_value=10**6),
+        recover=st.booleans(),
+        metrics=st.booleans(),
+        topology=st.sampled_from(
+            ["", ScenarioTopology.paper_default(3).spec_value(),
+             CROSS_DOMAIN_TOPOLOGY.spec_value()]
+        ),
+        trace_dir=st.none() | st.text(max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_codec_equals_the_asdict_derivation(
+        self, kind, text, seed, trial, recover, metrics, topology, trace_dir
+    ):
+        spec = JobSpec(
+            kind=kind, use_case=text, version=text[:3], mode=text[::-1],
+            seed=seed, trial=trial, recover=recover, trace_dir=trace_dir,
+            metrics=metrics, topology=topology,
+        )
+        # Neither the wire form nor the ID may deep-copy through asdict.
+        with mock.patch.object(
+            jobs_module, "asdict", side_effect=AssertionError("asdict")
+        ):
+            wire, job_id = spec.to_json(), spec.job_id
+        assert wire == json.dumps(dataclasses.asdict(spec), sort_keys=True)
+        assert job_id == _recomputed_job_id(spec)
+        assert JobSpec.from_json(wire) == spec
 
 
 class TestPlanners:
@@ -333,7 +371,7 @@ class TestBootGrace:
             worker = _Worker(
                 worker_id=0, process=_FakeProcess(), inbox=_FakeConn(),
                 conn=_FakeConn(), started_at=time.monotonic() - stale,
-                batch=[(spec, 0)],
+                batch=[(0, 0)],
             )
             workers = {0: worker}
             recorder = EventRecorder()
@@ -615,6 +653,29 @@ class TestWorkerStartMethod:
         )
         own = float(proc.stdout.strip())
         assert children - own >= 2 * pool_probes.BURN_CPU_S
+
+    @pytest.mark.parametrize(
+        "fork_server", [False, True], ids=["spawn", "fork-server"]
+    )
+    def test_jobs_import_nothing_past_the_warm_fork_point(self, fork_server):
+        # A clean interpreter, so the fork-server parent holds only what
+        # the pool itself imports before its first fork.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        code = (
+            f"import sys; sys.path[:0] = [{str(root / 'src')!r}, {str(root)!r}]\n"
+            "import functools, json\n"
+            "from repro.runner import JobSpec, WorkerPool\n"
+            "from tests import pool_probes\n"
+            "spec = JobSpec(kind='selftest', use_case='ok')\n"
+            f"probe = functools.partial(pool_probes.report_new_imports, {fork_server})\n"
+            f"pool = WorkerPool(jobs=1, fork_server={fork_server}, job_fn=probe)\n"
+            "print(json.dumps(pool.run([spec]).results[spec.job_id]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert json.loads(proc.stdout) == {"imported": []}
 
     def test_preload_covers_every_lazy_worker_import(self):
         tree = ast.parse(inspect.getsource(jobs_module))

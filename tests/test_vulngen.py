@@ -21,18 +21,20 @@ from repro.core.testbed import build_testbed
 from repro.exploits import USE_CASES, USE_CASE_BY_NAME, XSA182Test
 from repro.exploits.base import ExploitFailed
 from repro.probes.metrics import MetricsCollector
-from repro.vulngen import (
-    CLASS_RULE_MAP,
-    VulnClass,
-    coverage_features,
+from repro.vulngen.corpus import (
+    derive_spec,
     generate_corpus,
     is_synthetic_id,
-    make_use_case,
-    run_synthetic_trial,
     spec_by_id,
 )
-from repro.vulngen.corpus import derive_spec
-from repro.vulngen.taxonomy import ALL_CLASSES, CLASS_FUNCTIONALITY
+from repro.vulngen.coverage import coverage_features
+from repro.vulngen.synthetic import make_use_case, run_synthetic_trial
+from repro.vulngen.taxonomy import (
+    ALL_CLASSES,
+    CLASS_FUNCTIONALITY,
+    CLASS_RULE_MAP,
+    VulnClass,
+)
 from repro.xen.versions import ALL_VERSIONS, XEN_4_6, XEN_4_16
 
 

@@ -13,13 +13,13 @@ import textwrap
 
 from repro.runner import WorkerPool, plan_coverage_round
 from repro.staticcheck import check_source
-from repro.vulngen import (
+from repro.vulngen.corpus import generate_corpus
+from repro.vulngen.coverage import CoverageMap
+from repro.vulngen.schedule import (
     CoverageFuzzCampaign,
     CoverageGuidedScheduler,
-    CoverageMap,
     TrialPlan,
     UniformScheduler,
-    generate_corpus,
 )
 from repro.vulngen.synthetic import MUTATION_NAMES
 from repro.xen.versions import XEN_4_6
