@@ -15,7 +15,9 @@ accept runner flags: ``--jobs N`` executes on a worker pool (fault
 isolation, per-job ``--timeout``), ``--store PATH`` persists every
 job to SQLite, and ``--resume PATH`` re-launches a half-finished
 campaign without re-running completed jobs.  ``--jobs 1`` without a
-store keeps the original serial in-process path and its exact output.
+store keeps each command's serial default and its exact output: the
+in-process loops of ``campaign``, classic ``fuzz`` and ``benchmark``,
+and the serial job runner for ``testcase suite`` and ``fuzz --coverage``.
 """
 
 from __future__ import annotations
@@ -87,8 +89,11 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
 def _runner_from_args(args):
     """(runner, store) from the execution flags.
 
-    Returns ``(None, None)`` when the plain serial path applies, so the
-    original code path (and its exact output) is untouched by default.
+    Returns ``(None, None)`` when the plain serial path applies: each
+    command's default engine, with its exact output.  For ``testcase
+    suite`` and ``fuzz --coverage`` that default is a
+    :class:`~repro.runner.SerialRunner`, the interpreter the parity
+    oracle checks; the other commands keep their in-process loops.
     """
     if args.jobs < 1:
         raise SystemExit(f"error: --jobs must be at least 1, got {args.jobs}")

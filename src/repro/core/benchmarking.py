@@ -18,15 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.campaign import Campaign, Mode
-from repro.core.injections.extensions import (
-    inject_fatal_exception,
-    inject_hang_state,
-    inject_interrupt_storm,
-    inject_read_unauthorized,
-)
 from repro.core.testbed import TestBed, build_testbed
-from repro.exploits import XSA148Priv, XSA182Test, XSA212Crash, XSA212Priv
+from repro.core.testcases import REGISTRY
 from repro.xen.versions import XenVersion
 
 #: Security attributes (CIA).
@@ -46,37 +39,19 @@ class BenchmarkItem:
     run: Callable[[TestBed], Tuple[bool, bool]]
 
 
-def _use_case_item(use_case_cls, attribute: str) -> BenchmarkItem:
-    def run(bed: TestBed) -> Tuple[bool, bool]:
-        # Reuse the campaign machinery on the already-built testbed.
-        campaign = Campaign(testbed_factory=lambda _version: bed)
-        result = campaign.run(use_case_cls, bed.xen.version, Mode.INJECTION)
-        return result.erroneous_state.achieved, result.violation.occurred
-
-    return BenchmarkItem(name=use_case_cls.name, attribute=attribute, run=run)
-
-
-def _extension_item(name: str, attribute: str, script) -> BenchmarkItem:
-    def run(bed: TestBed) -> Tuple[bool, bool]:
-        erroneous, violation = script(bed)
-        return erroneous.achieved, violation.occurred
-
-    return BenchmarkItem(name=name, attribute=attribute, run=run)
-
-
 def default_suite() -> List[BenchmarkItem]:
-    """The standard eight-IM suite."""
+    """The standard eight-IM suite: the test-case registry, in order.
+
+    Each item is named after its case's intrusion model and reports
+    the first two fields of the case's outcome.
+    """
     return [
-        _use_case_item(XSA212Crash, AVAILABILITY),
-        _use_case_item(XSA212Priv, INTEGRITY),
-        _use_case_item(XSA148Priv, CONFIDENTIALITY),
-        _use_case_item(XSA182Test, INTEGRITY),
-        _extension_item("interrupt-storm", AVAILABILITY, inject_interrupt_storm),
-        _extension_item("host-hang", AVAILABILITY, inject_hang_state),
-        _extension_item("fatal-exception", AVAILABILITY, inject_fatal_exception),
-        _extension_item(
-            "read-unauthorized", CONFIDENTIALITY, inject_read_unauthorized
-        ),
+        BenchmarkItem(
+            name=case.intrusion_model.name,
+            attribute=case.attribute,
+            run=lambda bed, runner=case.runner: runner(bed)[:2],
+        )
+        for case in REGISTRY.values()
     ]
 
 

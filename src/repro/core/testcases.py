@@ -61,12 +61,12 @@ class InjectionTestCase:
     runner: Callable[[TestBed], Tuple[bool, bool, Optional[str]]]
     origin: str = "paper"  # "paper" | "extension"
 
-    def run(self, version: XenVersion) -> TestCaseOutcome:
-        bed = build_testbed(version)
+    def run_on(self, bed: TestBed) -> TestCaseOutcome:
+        """Run this test case on a caller-provided testbed."""
         erroneous, violation, kind = self.runner(bed)
         return TestCaseOutcome(
             name=self.name,
-            version=version.name,
+            version=bed.xen.version.name,
             erroneous_state=erroneous,
             violation=violation,
             violation_kind=kind,
@@ -180,7 +180,7 @@ def run_test_case(name: str, version: XenVersion) -> TestCaseOutcome:
         raise KeyError(
             f"unknown test case {name!r}; known: {sorted(REGISTRY)}"
         ) from None
-    return case.run(version)
+    return case.run_on(build_testbed(version))
 
 
 def run_suite(
@@ -188,14 +188,13 @@ def run_suite(
 ) -> List[TestCaseOutcome]:
     """Run every registered test case against one configuration.
 
-    With ``runner`` each test case executes as one isolated job
-    (parallel, resumable through ``store``); outcomes come back in
-    registry order either way.
+    Each test case executes as one isolated job on ``runner`` (a
+    :class:`~repro.runner.SerialRunner` by default; a pool runs them in
+    parallel, resumable through ``store``); outcomes come back in
+    registry order.
     """
-    if runner is None:
-        return [case.run(version) for case in REGISTRY.values()]
-    from repro.runner import plan_testcases
+    from repro.runner import SerialRunner, plan_testcases
 
     specs = plan_testcases(list(REGISTRY), version.name)
-    outcome = runner.run(specs, store=store)
+    outcome = (runner or SerialRunner()).run(specs, store=store)
     return [TestCaseOutcome(**payload) for payload in outcome.payloads_for(specs)]

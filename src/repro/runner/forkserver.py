@@ -15,12 +15,12 @@ first worker starts.  The pool's fork-server configuration
   after ``start()``, and its first fuzz trial takes 9–10 ms, the boot
   and capture of its bed (medians of 5 fresh workers, two runs);
 * each worker keeps a **snapshot cache** keyed by (version,
-  topology): the first matrix cell or classic fuzz trial of a key
-  boots a testbed and captures a
+  topology): the first job of a key boots a testbed and captures a
   :class:`~repro.core.checkpoint.TestbedCheckpoint`; every later one
-  *restores* the checkpoint in place instead of rebuilding the machine
-  (traced, ``--metrics`` and ``--recover`` cells included; synthetic
-  corpus trials and the other job kinds boot cold);
+  *restores* the checkpoint in place instead of rebuilding the machine.
+  Every job kind but the pool's selftests is served so: matrix cells
+  (traced, ``--metrics`` and ``--recover`` ones included), classic and
+  synthetic fuzz trials, benchmark cases and test cases;
 * each worker gets the run's plan once and jobs travel as
   ``(plan index, attempt)`` pairs, in **batches** over the per-worker
   length-prefixed pipes, amortizing IPC and scheduling overhead.
@@ -166,14 +166,13 @@ def _lease_bed(spec: JobSpec, attempt: int, boot: Callable[[], Any]) -> Any:
 def execute_job_cached(spec: JobSpec, attempt: int = 0) -> Dict[str, object]:
     """:func:`~repro.runner.jobs.execute_job` on beds from the snapshot cache.
 
-    Matrix cells and classic fuzz trials lease their bed from
+    Every job kind but the pool's selftests leases its bed from
     :func:`_lease_bed`: one warm bed per (version, topology), restored
     to its boot-time checkpoint before every job.  The checkpoint
     covers every layer a job writes, so the payload — and the trace
     file of a traced cell — is byte-identical to the cold-boot
-    executor's.  Every other kind takes no lease and runs exactly as
-    under ``execute_job``, still gaining the fork-server's process
-    reuse and batch IPC.
+    executor's.  Selftests take no bed and run exactly as under
+    ``execute_job``.
     """
     return execute_job(spec, attempt, lease=_lease_bed)
 

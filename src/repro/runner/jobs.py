@@ -12,9 +12,9 @@ across re-launches.
 :func:`execute_job` is the one job interpreter, used by every engine:
 given a spec (and nothing else — workers share no state with the
 parent), it runs the experiment and returns a plain-dict payload that
-survives pickling and JSON storage.  Campaign cells and classic fuzz
-trials get their testbed through a lease: a fresh boot by default, a
-restored snapshot under the fork-server's cache.
+survives pickling and JSON storage.  Every kind but the pool's
+selftests gets its testbed through one lease call there: a fresh boot
+by default, a restored snapshot under the fork-server's cache.
 """
 
 from __future__ import annotations
@@ -292,36 +292,23 @@ def execute_job(
 ) -> Dict[str, object]:
     """Run one job and return a picklable payload.
 
-    The only code that decides what a job kind does.  Campaign cells
-    and classic fuzz trials take their testbed from ``lease``: by
-    default a fresh boot, so nothing is shared with the parent process,
+    The only code that decides what a job kind does, and the only code
+    that gets a job its testbed: every kind but the pool's selftests
+    runs on the one bed this function takes from ``lease``.  By default
+    that is a fresh boot, so nothing is shared with the parent process,
     which is what gives the pool hard crash isolation; the fork-server
     passes its snapshot cache instead
     (:func:`~repro.runner.forkserver.execute_job_cached`).  Parallel
     execution resolves names against the default registries (use
-    cases, fuzz components, benchmark suite), so only default-configured
+    cases, fuzz components, test cases), so only default-configured
     experiments are parallelizable — custom closures stay on the serial
     path.
     """
-    if spec.kind == CAMPAIGN_RUN:
-        return _execute_campaign_run(spec, attempt, lease)
-    if spec.kind == FUZZ_TRIAL:
-        return _execute_fuzz_trial(spec, attempt, lease)
-    if spec.kind == BENCHMARK_CASE:
-        return _execute_benchmark_case(spec)
-    if spec.kind == TESTCASE:
-        return _execute_testcase(spec)
-    if spec.kind == SELFTEST:
-        return _execute_selftest(spec, attempt)
-    raise ValueError(f"unknown job kind {spec.kind!r}")
-
-
-def _execute_campaign_run(
-    spec: JobSpec, attempt: int, lease: Lease
-) -> Dict[str, object]:
-    from repro.analysis.report import result_to_dict
-    from repro.core.campaign import Campaign, Mode
-    from repro.core.injections import resolve
+    run_on = _ON_BED.get(spec.kind)
+    if run_on is None:
+        if spec.kind == SELFTEST:
+            return _execute_selftest(spec, attempt)
+        raise ValueError(f"unknown job kind {spec.kind!r}")
     from repro.core.testbed import build_testbed
     from repro.core.topology import ScenarioTopology
     from repro.xen.versions import version_by_name
@@ -331,21 +318,26 @@ def _execute_campaign_run(
     bed = lease(
         spec, attempt, lambda: build_testbed(version, topology=topology)
     )
+    return run_on(spec, bed)
+
+
+def _execute_campaign_run(spec: JobSpec, bed: Any) -> Dict[str, object]:
+    from repro.analysis.report import result_to_dict
+    from repro.core.campaign import Campaign, Mode
+    from repro.core.injections import resolve
+
     result = Campaign(
         testbed_factory=lambda _version: bed,
         recover=spec.recover,
         trace_dir=spec.trace_dir,
         collect_metrics=spec.metrics,
-        topology=topology,
-    ).run(resolve(spec.use_case), version, Mode(spec.mode))
+        topology=bed.topology,
+    ).run(resolve(spec.use_case), bed.xen.version, Mode(spec.mode))
     return result_to_dict(result)
 
 
-def _execute_fuzz_trial(
-    spec: JobSpec, attempt: int, lease: Lease
-) -> Dict[str, object]:
+def _execute_fuzz_trial(spec: JobSpec, bed: Any) -> Dict[str, object]:
     from repro.vulngen.corpus import is_synthetic_id
-    from repro.xen.versions import version_by_name
 
     seed = spec.seed if spec.seed is not None else 0
     if is_synthetic_id(spec.use_case):
@@ -353,11 +345,11 @@ def _execute_fuzz_trial(
         # spec, so workers need no shared state.  ``mode`` carries the
         # mutation, ``metrics`` requests the coverage signature.
         from repro.vulngen.corpus import spec_by_id
-        from repro.vulngen.synthetic import run_synthetic_trial
+        from repro.vulngen.synthetic import run_synthetic_trial_on
 
-        result = run_synthetic_trial(
+        result = run_synthetic_trial_on(
+            bed,
             spec_by_id(spec.use_case),
-            version_by_name(spec.version),
             seed,
             mutation=spec.mode or "baseline",
             collect_coverage=spec.metrics,
@@ -365,22 +357,15 @@ def _execute_fuzz_trial(
         return asdict(result)
     from repro.core.fuzz import RandomErroneousStateCampaign
 
-    campaign = RandomErroneousStateCampaign(version_by_name(spec.version))
+    campaign = RandomErroneousStateCampaign(bed.xen.version)
     component = campaign.component_by_name(spec.use_case)
-    bed = lease(
-        spec, attempt, lambda: campaign.testbed_factory(campaign.version)
-    )
     return asdict(campaign.run_trial_on(bed, component, seed))
 
 
-def _execute_benchmark_case(spec: JobSpec) -> Dict[str, object]:
+def _execute_benchmark_case(spec: JobSpec, bed: Any) -> Dict[str, object]:
     from repro.core.benchmarking import default_suite
-    from repro.core.testbed import build_testbed
-    from repro.xen.versions import version_by_name
 
-    by_name = {item.name: item for item in default_suite()}
-    item = by_name[spec.use_case]
-    bed = build_testbed(version_by_name(spec.version))
+    item = {item.name: item for item in default_suite()}[spec.use_case]
     injected, violated = item.run(bed)
     return {
         "name": item.name,
@@ -390,12 +375,20 @@ def _execute_benchmark_case(spec: JobSpec) -> Dict[str, object]:
     }
 
 
-def _execute_testcase(spec: JobSpec) -> Dict[str, object]:
-    from repro.core.testcases import run_test_case
-    from repro.xen.versions import version_by_name
+def _execute_testcase(spec: JobSpec, bed: Any) -> Dict[str, object]:
+    from repro.core.testcases import REGISTRY
 
-    outcome = run_test_case(spec.use_case, version_by_name(spec.version))
-    return asdict(outcome)
+    return asdict(REGISTRY[spec.use_case].run_on(bed))
+
+
+#: What each bed-taking job kind runs on the bed :func:`execute_job`
+#: leased for it.
+_ON_BED: Dict[str, Callable[[JobSpec, Any], Dict[str, object]]] = {
+    CAMPAIGN_RUN: _execute_campaign_run,
+    FUZZ_TRIAL: _execute_fuzz_trial,
+    BENCHMARK_CASE: _execute_benchmark_case,
+    TESTCASE: _execute_testcase,
+}
 
 
 def _execute_selftest(spec: JobSpec, attempt: int) -> Dict[str, object]:

@@ -8,8 +8,9 @@ budget.  This module adds the classic fuzzing feedback loop on top of
 the probe-coverage map:
 
 1. plan a **round** of ``(entry, mutation, seed)`` trials;
-2. execute them (serially, or as runner jobs — one fresh testbed per
-   trial, like every fuzz trial in this repository);
+2. execute them as runner jobs (on the serial runner by default),
+   each on the bed the job interpreter leases for it: a fresh boot,
+   or a restored snapshot under the fork-server;
 3. fold each trial's coverage signature into the global
    :class:`~repro.vulngen.coverage.CoverageMap`;
 4. credit entries whose trials contributed unseen features with
@@ -35,9 +36,9 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.core.fuzz import FuzzResult
-from repro.vulngen.corpus import Corpus, spec_by_id
+from repro.vulngen.corpus import Corpus
 from repro.vulngen.coverage import CoverageMap
-from repro.vulngen.synthetic import MUTATION_NAMES, run_synthetic_trial
+from repro.vulngen.synthetic import MUTATION_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.xen.versions import XenVersion
@@ -281,11 +282,14 @@ class CoverageFuzzCampaign:
     """Round-based fuzz campaign over a synthetic corpus.
 
     Rounds are barriers: round *k* is planned only from the coverage
-    digest after round *k-1*, executed (serially or via a runner), and
-    integrated in slot order.  Multi-round campaigns must not share a
-    result store across rounds (each round is a different job plan), so
-    the runner path always passes ``store=None`` — coverage campaigns
-    are cheap to re-run precisely because they are deterministic.
+    digest after round *k-1*, executed as one runner job per trial (the
+    serial runner unless ``run`` is given one), and integrated in slot
+    order.  Every trial goes through the job interpreter, so under the
+    fork-server it runs on a restored snapshot instead of a cold boot.
+    Multi-round campaigns must not share a result store across rounds
+    (each round is a different job plan), so every round runs with
+    ``store=None`` — coverage campaigns are cheap to re-run precisely
+    because they are deterministic.
     """
 
     def __init__(
@@ -336,23 +340,12 @@ class CoverageFuzzCampaign:
         report.coverage = coverage.features()
         return report
 
-    def _execute(
-        self, plans: List[TrialPlan], runner
-    ) -> List[FuzzResult]:
-        """Run one round's trials; results align with ``plans``."""
-        if runner is None:
-            return [
-                run_synthetic_trial(
-                    spec_by_id(plan.entry_id),
-                    self.version,
-                    plan.seed,
-                    mutation=plan.mutation,
-                    collect_coverage=True,
-                )
-                for plan in plans
-            ]
-        from repro.runner import plan_coverage_round
+    def _execute(self, plans: List[TrialPlan], runner=None) -> List[FuzzResult]:
+        """Run one round's trials as jobs on ``runner`` (a
+        :class:`~repro.runner.SerialRunner` by default); results align
+        with ``plans``."""
+        from repro.runner import SerialRunner, plan_coverage_round
 
         specs = plan_coverage_round(self.version.name, plans)
-        outcome = runner.run(specs, store=None)
+        outcome = (runner or SerialRunner()).run(specs, store=None)
         return [FuzzResult(**payload) for payload in outcome.payloads_for(specs)]

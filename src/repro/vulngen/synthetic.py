@@ -39,7 +39,9 @@ toctou-window          a validated word whose content flips after a
 one mutation + one private seed -> one classified
 :class:`~repro.core.fuzz.FuzzResult`, optionally with the trial's
 coverage signature attached (the coverage-guided scheduler's raw
-material).
+material).  It boots a fresh testbed; :func:`run_synthetic_trial_on`
+runs the same trial on a bed the caller provides, which is how the
+job interpreter runs it on a leased bed.
 """
 
 from __future__ import annotations
@@ -331,12 +333,27 @@ def run_synthetic_trial(
     mutation: str = "baseline",
     collect_coverage: bool = False,
 ) -> FuzzResult:
-    """One fuzz trial of one corpus entry on a fresh testbed.
+    """One fuzz trial of one corpus entry on a fresh testbed."""
+    return run_synthetic_trial_on(
+        build_testbed(version), spec, seed, mutation, collect_coverage
+    )
+
+
+def run_synthetic_trial_on(
+    bed: "TestBed",
+    spec: VulnSpec,
+    seed: int,
+    mutation: str = "baseline",
+    collect_coverage: bool = False,
+) -> FuzzResult:
+    """One fuzz trial of one corpus entry on a caller-provided testbed.
 
     Injects the (mutated) spec through its use case, exercises the
     system with the standard fuzz workload, classifies the outcome
     with the standard classifier, and — when ``collect_coverage`` —
-    attaches the trial's probe-coverage signature to the result.
+    attaches the trial's probe-coverage signature to the result.  The
+    coverage collector leaves the bed's probe bus even when the trial
+    raises, so a reused bed never carries it into the next trial.
     """
     try:
         mutate = MUTATIONS[mutation]
@@ -346,32 +363,34 @@ def run_synthetic_trial(
         ) from None
     rng = random.Random(seed)
     mutated = mutate(spec, rng)
-    bed = build_testbed(version)
     collector = None
     if collect_coverage:
         from repro.probes.metrics import MetricsCollector
 
         collector = MetricsCollector(bed.probes).attach()
-    use_case: SyntheticUseCase = make_use_case(mutated)()
-    use_case.prepare(bed)
-    outcome = None
     try:
-        use_case.run_injection(bed)
-    except ExploitFailed:
-        outcome = "refused"
-    except (HypervisorCrash, KernelOops, GuestFault):
-        outcome = "crash" if bed.xen.crashed else "exception"
-    if outcome is None:
-        outcome = RandomErroneousStateCampaign._exercise(
-            bed,
-            use_case.target_mfn if use_case.target_mfn is not None else 0,
-            mutated.word % 512,
-            changed=use_case.changed,
-        )
+        use_case: SyntheticUseCase = make_use_case(mutated)()
+        use_case.prepare(bed)
+        outcome = None
+        try:
+            use_case.run_injection(bed)
+        except ExploitFailed:
+            outcome = "refused"
+        except (HypervisorCrash, KernelOops, GuestFault):
+            outcome = "crash" if bed.xen.crashed else "exception"
+        if outcome is None:
+            outcome = RandomErroneousStateCampaign._exercise(
+                bed,
+                use_case.target_mfn if use_case.target_mfn is not None else 0,
+                mutated.word % 512,
+                changed=use_case.changed,
+            )
+    finally:
+        if collector is not None:
+            collector.detach()
     coverage: Optional[List[str]] = None
     if collector is not None:
         coverage = collector.coverage_signature()
-        collector.detach()
     return FuzzResult(
         component=spec.id,
         mfn=use_case.target_mfn if use_case.target_mfn is not None else -1,

@@ -39,8 +39,9 @@ def burn_cpu(spec, attempt):
 def report_new_imports(cached, spec, attempt):
     """Which ``repro`` modules real jobs import inside a warm worker.
 
-    Runs a classic fuzz trial, a default-topology matrix cell and a
-    cross-domain cell through the configuration's executor
+    Runs a classic fuzz trial, a default-topology matrix cell, a
+    cross-domain cell, a benchmark case, a test case and a synthetic
+    corpus trial through the configuration's executor
     (``execute_job_cached`` when ``cached``, else ``execute_job``) and
     reports every ``repro.*`` module that was not loaded when this job
     began: what a worker still imports after its fork point.
@@ -48,7 +49,14 @@ def report_new_imports(cached, spec, attempt):
     before = {name for name in sys.modules if name.startswith("repro")}
     from repro.core.topology import CROSS_DOMAIN_TOPOLOGY
     from repro.runner.forkserver import execute_job_cached
-    from repro.runner.jobs import execute_job, plan_campaign, plan_fuzz
+    from repro.runner.jobs import (
+        JobSpec,
+        execute_job,
+        plan_benchmark,
+        plan_campaign,
+        plan_fuzz,
+        plan_testcases,
+    )
 
     run = execute_job_cached if cached else execute_job
     jobs = (
@@ -58,6 +66,14 @@ def report_new_imports(cached, spec, attempt):
             ["xdom-ring-tamper"], ["4.6"], ["exploit"],
             topology=CROSS_DOMAIN_TOPOLOGY.spec_value(),
         )
+        + plan_benchmark(["interrupt-storm"], ["4.13"])
+        + plan_testcases(["xsa-182-test"], "4.8")
+        + [
+            JobSpec(
+                kind="fuzz-trial", use_case="syn-2023-0003-bounds-error",
+                version="4.6", mode="bitflip", seed=3, trial=0, metrics=True,
+            )
+        ]
     )
     for job in jobs:
         run(job, 0)

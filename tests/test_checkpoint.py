@@ -1,12 +1,16 @@
 """Restore completeness: a checkpoint rolls back every layer a job writes.
 
-The fork-server serves matrix cells and fuzz trials from one warm bed
-per (version, topology), restored to its boot-time
+The fork-server serves every job kind but the pool's selftests from one
+warm bed per (version, topology), restored to its boot-time
 :class:`~repro.core.checkpoint.TestbedCheckpoint` before every job.
 The restore verifies only the machine, so the proof that the Python
 layers (event channels, grant tables, xenstore, the network, guest
-kernels, ...) are complete is this test: after any cell, the restored
-bed's canonical walk equals a freshly booted bed's.  The restore also
+kernels, ...) are complete is this test: after any matrix cell, fuzz
+trial, benchmark item, test case or synthetic corpus trial, the
+restored bed's canonical walk equals a freshly booted bed's.  The
+checkpoint keeps probe subscriptions as they are, and the walk renders
+a probe bus by name only, so each probe point's subscriber count is
+compared with its count at capture as well.  The restore also
 rewrites only what changed: machine frames whose bytes differ from the
 snapshot, and the frame-table records the table handed out since the
 capture.  A property over random mutator sequences checks that this
@@ -25,7 +29,14 @@ from repro.core.fuzz import RandomErroneousStateCampaign, default_components
 from repro.core.injections import resolve
 from repro.core.injections.registry import registered_names
 from repro.core.testbed import build_testbed
+from repro.core.testcases import REGISTRY
 from repro.core.topology import CROSS_DOMAIN_TOPOLOGY, DEFAULT_TOPOLOGY
+from repro.probes import points as P
+from repro.probes.metrics import MetricsCollector
+from repro.runner import JobSpec, execute_job, plan_benchmark, plan_testcases
+from repro.vulngen.corpus import derive_spec
+from repro.vulngen.synthetic import MUTATION_NAMES
+from repro.vulngen.taxonomy import VulnClass
 from repro.xen.constants import WORDS_PER_PAGE
 from repro.xen.frames import PageType
 from repro.xen.snapshot import machine_digest
@@ -50,10 +61,32 @@ CELLS = [
 ]
 
 
+def subscriber_counts(bed) -> dict:
+    """Each probe point's subscriber count."""
+    return {name: len(bed.probes.subscribers(name)) for name in P.ALL_POINTS}
+
+
 def assert_restores_to_fresh(bed, checkpoint, fresh) -> None:
+    """Every test here captures a just-booted bed, so a fresh boot's
+    subscriber counts are the capture-time counts."""
     checkpoint.restore(bed)
     leaked = differences(walk(bed), walk(fresh))
     assert not leaked, "restore left state behind:\n" + "\n".join(leaked[:20])
+    assert subscriber_counts(bed) == subscriber_counts(fresh)
+
+
+def assert_job_restores_to_fresh(spec: JobSpec) -> None:
+    """Run ``spec`` on a leased bed captured at boot, then restore it."""
+    held = {}
+
+    def lease(_spec, _attempt, boot):
+        held["bed"] = bed = boot()
+        held["checkpoint"] = TestbedCheckpoint.capture(bed)
+        return bed
+
+    execute_job(spec, lease=lease)
+    bed = held["bed"]
+    assert_restores_to_fresh(bed, held["checkpoint"], build_testbed(bed.xen.version))
 
 
 @pytest.mark.parametrize("name, version, mode, topology, recover", CELLS)
@@ -76,6 +109,49 @@ def test_fuzz_trials_restore_to_a_fresh_boot(component):
     fresh = build_testbed(XEN_4_6)
     for seed in range(8):
         campaign.run_trial_on(bed, target, seed)
+        assert_restores_to_fresh(bed, checkpoint, fresh)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        spec
+        for version in ALL_VERSIONS
+        for spec in plan_benchmark(
+            [case.intrusion_model.name for case in REGISTRY.values()],
+            [version.name],
+        )
+        + plan_testcases(list(REGISTRY), version.name)
+    ],
+    ids=lambda spec: f"{spec.kind}-{spec.label}",
+)
+def test_registry_cases_restore_to_a_fresh_boot(spec):
+    assert_job_restores_to_fresh(spec)
+
+
+#: The first corpus entries cycle through the classes, one each.
+SYNTHETIC_IDS = [derive_spec(2023, index).id for index in range(len(VulnClass))]
+
+
+@pytest.mark.parametrize("version", [v.name for v in ALL_VERSIONS])
+@pytest.mark.parametrize("mutation", MUTATION_NAMES)
+@pytest.mark.parametrize("entry_id", SYNTHETIC_IDS)
+def test_synthetic_trials_restore_to_a_fresh_boot(entry_id, mutation, version):
+    assert_job_restores_to_fresh(
+        JobSpec(
+            kind="fuzz-trial", use_case=entry_id, version=version,
+            mode=mutation, seed=11, trial=0, metrics=True,
+        )
+    )
+
+
+def test_subscriber_counts_see_a_leaked_subscription():
+    """The walk renders a probe bus by name only; the counts must
+    notice a subscriber the restore kept."""
+    bed, fresh = build_testbed(XEN_4_6), build_testbed(XEN_4_6)
+    checkpoint = TestbedCheckpoint.capture(bed)
+    MetricsCollector(bed.probes).attach()
+    with pytest.raises(AssertionError):
         assert_restores_to_fresh(bed, checkpoint, fresh)
 
 

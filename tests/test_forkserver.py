@@ -37,10 +37,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
+from repro.core.benchmarking import default_suite
 from repro.core.checkpoint import CheckpointDiverged, TestbedCheckpoint
 from repro.core.fuzz import RandomErroneousStateCampaign
 from repro.core.injections.registry import registered_names
 from repro.core.testbed import build_testbed
+from repro.core.testcases import REGISTRY
 from repro.resilience import RECOVERED, RecoveryManager
 from repro.resilience.chaos import ChaosPlan, ChaosPool
 from repro.runner import (
@@ -52,12 +54,17 @@ from repro.runner import (
     WorkerPool,
     execute_job,
     execute_job_cached,
+    plan_benchmark,
     plan_campaign,
+    plan_coverage_round,
     plan_fuzz,
+    plan_testcases,
 )
 from repro.runner import events as ev
 from repro.runner import forkserver
 from repro.runner.forkserver import _reset_worker_cache, preferred_context
+from repro.vulngen.corpus import generate_corpus
+from repro.vulngen.schedule import CoverageGuidedScheduler
 from repro.xen.frames import PageType
 from repro.xen.snapshot import machine_digest
 from repro.xen.versions import ALL_VERSIONS, XEN_4_13
@@ -307,7 +314,28 @@ class TestExecuteJobCached:
         assert forkserver._CACHE_STATS["forkserver.cold_boots"] == 1
         assert [e["kind"] for e in forkserver._INFRA] == ["restore-diverged"]
 
+    def test_benchmark_testcase_and_coverage_jobs_match_cold_runs(self):
+        """The newly leased kinds on warm beds: one capture per version,
+        a restore for every other job."""
+        corpus = generate_corpus(2023, 10)
+        trials = CoverageGuidedScheduler(corpus.ids, 2023).plan_round(0, 12, "")
+        specs = (
+            plan_benchmark(
+                [item.name for item in default_suite()],
+                [v.name for v in ALL_VERSIONS],
+            )
+            + plan_testcases(list(REGISTRY), "4.13")
+            + plan_coverage_round("4.6", trials)
+        )
+        for spec in specs:
+            assert execute_job_cached(spec) == execute_job(spec), spec.label
+        assert forkserver._CACHE_STATS["forkserver.captures"] == len(ALL_VERSIONS)
+        assert forkserver._CACHE_STATS["forkserver.restores"] == (
+            len(specs) - len(ALL_VERSIONS)
+        )
+
     def test_non_fuzz_jobs_fall_through(self):
+        """Selftests are the one kind that takes no bed."""
         spec = selftest("ok")
         payload = execute_job_cached(spec)
         assert payload["status"] == "ok"

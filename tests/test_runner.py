@@ -51,6 +51,8 @@ from repro.runner.store import (
     StorePlanMismatch,
     StoreSchemaMismatch,
 )
+from repro.vulngen.corpus import derive_spec
+from repro.xen.hypervisor import Xen
 from repro.xen.versions import XEN_4_13
 from tests import pool_probes
 from tests.conftest import CommitCountingStore
@@ -745,6 +747,65 @@ class TestExecuteJob:
         )
         payload = execute_job(spec)
         assert payload["attribute"] == "availability"
+
+
+#: One job of every kind that runs on a testbed.
+BED_JOBS = {
+    "matrix-cell": plan_campaign(["XSA-212-crash"], ["4.6"], ["exploit"])[0],
+    "cross-domain-cell": plan_campaign(
+        ["xdom-ring-tamper"], ["4.6"], ["exploit"],
+        topology=CROSS_DOMAIN_TOPOLOGY.spec_value(),
+    )[0],
+    "fuzz-trial": plan_fuzz("4.13", ["idt"], 1, 7)[0],
+    "synthetic-trial": JobSpec(
+        kind="fuzz-trial", use_case=derive_spec(2023, 3).id, version="4.8",
+        mode="bitflip", seed=5, trial=0, metrics=True,
+    ),
+    "benchmark-case": plan_benchmark(["host-hang"], ["4.13"])[0],
+    "testcase": plan_testcases(["xsa-148-priv"], "4.6")[0],
+}
+
+
+class TestOneLeasePerJob:
+    """``execute_job`` gets every job its bed, through one lease call."""
+
+    @staticmethod
+    def _run(spec):
+        leases, boots = [], []
+        original_init = Xen.__init__
+
+        def counting_init(self, *args, **kwargs):
+            boots.append(spec.job_id)
+            original_init(self, *args, **kwargs)
+
+        def counting_lease(leased_spec, attempt, boot):
+            leases.append(leased_spec.job_id)
+            return boot()
+
+        with mock.patch.object(Xen, "__init__", counting_init):
+            payload = execute_job(spec, lease=counting_lease)
+        return payload, leases, boots
+
+    @pytest.mark.parametrize("name", sorted(BED_JOBS))
+    def test_every_bed_job_leases_once_and_boots_only_through_it(self, name):
+        spec = BED_JOBS[name]
+        payload, leases, boots = self._run(spec)
+        assert leases == [spec.job_id]
+        assert boots == [spec.job_id]  # the lease's boot, and no other
+        assert payload == execute_job(spec)
+
+    def test_selftests_take_no_bed(self):
+        payload, leases, boots = self._run(selftest("ok"))
+        assert payload["status"] == "ok"
+        assert leases == boots == []
+
+    def test_unknown_names_raise_key_error(self):
+        for spec in (
+            JobSpec(kind="benchmark-case", use_case="nope", version="4.13"),
+            JobSpec(kind="testcase", use_case="nope", version="4.13"),
+        ):
+            with pytest.raises(KeyError):
+                execute_job(spec)
 
 
 class TestCliIntegration:

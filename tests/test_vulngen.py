@@ -11,6 +11,7 @@ with the hand-written XSAs through the injection registry.
 import pytest
 
 from repro.core.campaign import Campaign, Mode
+from repro.core.fuzz import RandomErroneousStateCampaign
 from repro.core.injections import (
     inject_by_name,
     is_registered,
@@ -18,8 +19,10 @@ from repro.core.injections import (
     resolve,
 )
 from repro.core.testbed import build_testbed
+from repro.errors import MachineError
 from repro.exploits import USE_CASES, USE_CASE_BY_NAME, XSA182Test
 from repro.exploits.base import ExploitFailed
+from repro.probes import points as P
 from repro.probes.metrics import MetricsCollector
 from repro.vulngen.corpus import (
     derive_spec,
@@ -28,7 +31,11 @@ from repro.vulngen.corpus import (
     spec_by_id,
 )
 from repro.vulngen.coverage import coverage_features
-from repro.vulngen.synthetic import make_use_case, run_synthetic_trial
+from repro.vulngen.synthetic import (
+    make_use_case,
+    run_synthetic_trial,
+    run_synthetic_trial_on,
+)
 from repro.vulngen.taxonomy import (
     ALL_CLASSES,
     CLASS_FUNCTIONALITY,
@@ -223,6 +230,21 @@ class TestSyntheticTrials:
     def test_unknown_mutation_rejected(self):
         with pytest.raises(KeyError, match="unknown mutation"):
             run_synthetic_trial(derive_spec(2023, 0), XEN_4_6, 1, mutation="nope")
+
+    def test_a_raising_trial_leaves_no_subscriber_behind(self, monkeypatch):
+        def raise_machine_error(*args, **kwargs):
+            raise MachineError("simulated fault mid-trial")
+
+        monkeypatch.setattr(
+            RandomErroneousStateCampaign, "_exercise",
+            staticmethod(raise_machine_error),
+        )
+        bed = build_testbed(XEN_4_6)
+        with pytest.raises(MachineError):
+            run_synthetic_trial_on(
+                bed, derive_spec(2023, 0), 1, collect_coverage=True
+            )
+        assert all(not bed.probes.subscribers(name) for name in P.ALL_POINTS)
 
 
 class TestCoverageFeatures:
