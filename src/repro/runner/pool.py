@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import atexit
 import importlib
+import itertools
 import multiprocessing
 import multiprocessing.connection
 import multiprocessing.forkserver
@@ -199,6 +200,12 @@ class _SignalGuard:
 # The books and the run skeleton both runners share
 # ----------------------------------------------------------------------
 
+#: Least time between two of a run's timed commits (seconds).  A
+#: crash loses at most the jobs that finished within this long of the
+#: last commit, plus the jobs in flight; ``--resume`` re-runs them to
+#: identical results.
+_COMMIT_INTERVAL = 0.05
+
 
 class _Ledger:
     """One run's books: the only code that writes job transitions.
@@ -209,6 +216,11 @@ class _Ledger:
     history.  Built per run: registering the plan and loading results
     a previous run finished (each announced as ``job-skipped``, in plan
     order) happen here, and :meth:`close` ends the run.
+
+    Transitions join the store's open transaction.  :meth:`flush`, the
+    runners' per-job and per-round commit point, commits only once
+    ``_COMMIT_INTERVAL`` has passed since the last commit;
+    :meth:`commit` commits at once, for the points that must not wait.
     """
 
     def __init__(
@@ -233,6 +245,7 @@ class _Ledger:
         if store is None:
             return
         store.register(self.specs)
+        self._committed = time.monotonic()
         done = store.completed_ids()
         self.remaining = []
         for index, spec in enumerate(self.specs):
@@ -251,8 +264,18 @@ class _Ledger:
         )
 
     def flush(self) -> None:
+        """Commit, if ``_COMMIT_INTERVAL`` has passed since the last commit."""
+        if (
+            self.store is not None
+            and time.monotonic() - self._committed >= _COMMIT_INTERVAL
+        ):
+            self.commit()
+
+    def commit(self) -> None:
+        """Commit every transition recorded so far."""
         if self.store is not None:
             self.store.flush()
+            self._committed = time.monotonic()
 
     def started(self, spec: JobSpec, attempt: int, worker: int = -1) -> None:
         if self.store is not None and attempt == 0:
@@ -319,7 +342,7 @@ class _Ledger:
             self.outcome.interrupted = True
             self.outcome.interrupt_signal = interrupt
             self.hub.emit(ev.CAMPAIGN_INTERRUPTED, detail=interrupt)
-        self.flush()
+        self.commit()
         self.hub.emit(ev.CAMPAIGN_FINISHED)
         return self.outcome
 
@@ -369,7 +392,12 @@ class _Runner:
             def stopped() -> bool:
                 return guard.tripped or self._stop_requested
 
-            self._execute(books, stopped)
+            try:
+                self._execute(books, stopped)
+            finally:
+                # Even an exception escaping _execute leaves every job
+                # it finished durable.
+                books.commit()
             interrupt = (guard.describe() or "stop-requested") if stopped() else ""
         return books.close(interrupt)
 
@@ -418,7 +446,7 @@ class SerialRunner(_Runner):
                         break
                     attempt += 1
                     if delay:
-                        books.flush()
+                        books.commit()
                         time.sleep(delay)
                     continue
                 books.finished(
@@ -807,9 +835,12 @@ class WorkerPool(_Runner):
         for worker in workers.values():
             if worker.busy or not pending:
                 continue
-            taken = [
-                i for i, (ready, _, _) in enumerate(pending) if ready <= now
-            ][: self._batch]
+            # The first ``batch`` ready entries, in queue order; the scan
+            # stops there instead of walking the whole queue.
+            taken = list(itertools.islice(
+                (i for i, (ready, _, _) in enumerate(pending) if ready <= now),
+                self._batch,
+            ))
             if not taken:
                 continue
             members = [pending[i] for i in taken]
@@ -836,9 +867,11 @@ class WorkerPool(_Runner):
         worker killed mid-write leaves at worst a partial frame in its
         private buffer, never a blocked read or a poisoned lock.
 
-        The store is flushed before blocking: one commit covers the
-        whole scheduling round, and no transaction is held across an
-        idle wait.
+        The books are flushed before blocking, which commits only once
+        ``_COMMIT_INTERVAL`` has passed since the last commit: one
+        fsync covers every round of that interval.  A transaction left
+        open across the wait is committed by the first round after the
+        interval ends, at most one ``_POLL_INTERVAL`` later.
         """
         books.flush()
         conns = {

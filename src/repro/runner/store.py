@@ -17,13 +17,17 @@ transitions (:meth:`~ResultStore.mark_running`,
 :meth:`~ResultStore.record_attempt`, :meth:`~ResultStore.record_success`,
 :meth:`~ResultStore.record_failure`) only join the connection's open
 transaction.  :meth:`~ResultStore.flush` is the one commit point for
-them: the runners call it once per scheduling round, right before the
-parent blocks, so one fsynced commit covers a whole round of
-transitions instead of three per job.  Every commit is still a full
-rollback-journal commit with SQLite's default ``synchronous=FULL``.
-A parent killed mid-round loses at most that round's uncommitted
-transitions; those jobs are not ``done``, so ``--resume`` re-runs them
-and, jobs being deterministic, reproduces identical results.
+them, and it always commits; its callers choose the cadence.  The
+runners' books call it once 0.05 s (``repro.runner.pool._COMMIT_INTERVAL``)
+has passed since their last commit, checked after every serial job
+and before the pool's parent blocks, and at once when a run ends, when
+an exception escapes it and before a retry's backoff sleep.  So one
+fsynced commit covers every job of an interval.  Every commit is still
+a full rollback-journal commit with SQLite's default
+``synchronous=FULL``.  A parent killed mid-run loses at most the jobs
+that finished within 0.05 s of the last commit, plus the jobs in
+flight; those jobs are not ``done``, so ``--resume`` re-runs them and,
+jobs being deterministic, reproduces identical results.
 """
 
 from __future__ import annotations

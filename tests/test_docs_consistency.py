@@ -206,3 +206,40 @@ class TestQuotedThroughputFigures:
         assert self._rounds_to(service_artifact["direct"]["wall_s"], direct_lo)
         assert float(service_lo) <= float(service_hi)
         assert float(direct_lo) <= float(direct_hi)
+
+
+class TestQuotedCommitInterval:
+    """The commit interval and loss bound the docs quote are the
+    runner's ``_COMMIT_INTERVAL``."""
+
+    @staticmethod
+    def _seconds(text: str, pattern: str) -> float:
+        text = " ".join(text.split())
+        match = re.search(pattern, text)
+        assert match, f"no longer quoted: {pattern!r}"
+        return float(match.group(1))
+
+    @pytest.fixture(scope="class")
+    def durability(self) -> str:
+        text = _text("DESIGN.md")
+        start = text.index("### Store durability")
+        return text[start:text.index("\n## ", start)]
+
+    @pytest.mark.parametrize("pattern", [
+        r"`_COMMIT_INTERVAL` \(([\d.]+) s",
+        r"within one interval \(([\d.]+) s\) of the last commit",
+        r"at most ([\d.]+) s of finished work per worker",
+    ], ids=["interval", "loss-bound", "per-worker"])
+    def test_design_store_durability(self, durability, pattern):
+        from repro.runner import pool
+
+        assert self._seconds(durability, pattern) == pool._COMMIT_INTERVAL
+
+    @pytest.mark.parametrize("pattern", [
+        r"once ([\d.]+) s \(``repro\.runner\.pool\._COMMIT_INTERVAL``\)",
+        r"finished within ([\d.]+) s of the last commit",
+    ], ids=["interval", "loss-bound"])
+    def test_store_docstring(self, pattern):
+        from repro.runner import pool, store
+
+        assert self._seconds(store.__doc__, pattern) == pool._COMMIT_INTERVAL

@@ -20,6 +20,7 @@ Three layers of coverage:
 """
 
 import copy
+import math
 import multiprocessing
 import os
 import signal
@@ -62,6 +63,7 @@ from repro.runner import (
 )
 from repro.runner import events as ev
 from repro.runner import forkserver
+from repro.runner import pool as pool_module
 from repro.runner.forkserver import _reset_worker_cache, preferred_context
 from repro.vulngen.corpus import generate_corpus
 from repro.vulngen.schedule import CoverageGuidedScheduler
@@ -618,8 +620,10 @@ class TestForkServerPool:
 
 class TestGroupCommit:
     def test_fuzz_run_commits_once_per_round_and_readers_see_a_prefix(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
+        """With no interval the books commit every scheduling round."""
+        monkeypatch.setattr(pool_module, "_COMMIT_INTERVAL", 0.0)
         specs = plan_fuzz("4.13", ["idt", "m2p"], 100, 11)
         assert len(specs) == 200
         path = str(tmp_path / "gc.sqlite")
@@ -650,6 +654,60 @@ class TestGroupCommit:
         [done] = observed
         assert 0 < len(done) < 50
         assert done == set(finished[:len(done)])
+        assert no_orphans()
+
+    def test_fuzz_run_commits_register_and_close_within_an_interval(
+        self, tmp_path, monkeypatch
+    ):
+        """Inside one interval only registering and closing commit: a
+        mid-run reader sees no job done, a reader after the run all."""
+        monkeypatch.setattr(pool_module, "_COMMIT_INTERVAL", 3600.0)
+        specs = plan_fuzz("4.13", ["idt", "m2p"], 100, 11)
+        path = str(tmp_path / "gc.sqlite")
+        finished: list = []
+        observed: list = []
+
+        def on_event(event) -> None:
+            if event.kind != ev.JOB_FINISHED:
+                return
+            finished.append(event.job_id)
+            if len(finished) == 50:
+                with ResultStore(path) as reader:
+                    observed.append(reader.completed_ids())
+
+        store = CommitCountingStore(path)
+        try:
+            store.commits = 0
+            outcome = ForkServerPool(jobs=2, on_event=on_event).run(
+                specs, store=store
+            )
+            assert not outcome.failures and len(outcome.results) == 200
+            assert store.commits == 2  # register + close
+            with ResultStore(path) as reader:
+                assert reader.completed_ids() == {s.job_id for s in specs}
+        finally:
+            store.close()
+        [done] = observed
+        assert done == set()
+        assert done == set(finished[:len(done)])
+        assert no_orphans()
+
+    def test_commits_are_bounded_by_the_interval(self, tmp_path):
+        """Over a 600-trial run the books commit at most once per
+        ``_COMMIT_INTERVAL`` of wall time, plus registering and closing."""
+        specs = plan_fuzz("4.13", ["idt", "m2p"], 300, 11)
+        assert len(specs) == 600
+        store = CommitCountingStore(str(tmp_path / "gc.sqlite"))
+        try:
+            store.commits = 0
+            started = time.monotonic()
+            outcome = ForkServerPool(jobs=2).run(specs, store=store)
+            wall = time.monotonic() - started
+            assert not outcome.failures and len(outcome.results) == 600
+            bound = 2 + math.ceil(wall / pool_module._COMMIT_INTERVAL)
+            assert store.commits <= bound, (store.commits, wall)
+        finally:
+            store.close()
         assert no_orphans()
 
 
@@ -760,12 +818,31 @@ class TestGracefulShutdown:
     ):
         """A hard-killed parent loses at most its uncommitted round.
 
-        The driver SIGKILLs itself from the event callback of the 30th
-        finished job, after that job's result was recorded but before
-        the round's commit: the store must come back with fewer than
-        30 done jobs, and ``--resume`` must finish the campaign with
-        output identical to a serial run.
+        With no commit interval the books commit every scheduling
+        round.  The driver SIGKILLs itself from the event callback of
+        the 30th finished job, after that job's result was recorded but
+        before the round's commit: the store must come back with fewer
+        than 30 done jobs, some of them committed by earlier rounds,
+        and ``--resume`` must finish the campaign with output identical
+        to a serial run.
         """
+        done = self._sigkill_at_30th_job_then_resume(tmp_path, capsys, 0.0)
+        assert 0 < done < 30
+
+    def test_parent_sigkill_at_the_commit_interval_then_resume_matches_serial(
+        self, tmp_path, capsys
+    ):
+        """The same kill under the shipped interval: the 30 jobs may all
+        fall inside one interval, so none need be done, and resume is
+        still exact."""
+        interval = pool_module._COMMIT_INTERVAL
+        done = self._sigkill_at_30th_job_then_resume(tmp_path, capsys, interval)
+        assert done < 30
+
+    def _sigkill_at_30th_job_then_resume(self, tmp_path, capsys, interval) -> int:
+        """Kill a fork-server fuzz run at its 30th finished job under the
+        commit ``interval``, resume it, and return the jobs the killed
+        run left done."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         path = str(tmp_path / "killed.sqlite")
         driver = tmp_path / "driver.py"
@@ -779,8 +856,10 @@ class TestGracefulShutdown:
             from repro.core.fuzz import RandomErroneousStateCampaign
             from repro.runner import ForkServerPool, ResultStore
             from repro.runner import events as ev
+            from repro.runner import pool
             from repro.xen.versions import version_by_name
 
+            pool._COMMIT_INTERVAL = {interval!r}
             finished = []
 
             def on_event(event):
@@ -807,7 +886,6 @@ class TestGracefulShutdown:
         with ResultStore(path) as store:
             summary = store.summary()
         assert summary.total == 60
-        assert 0 < summary.done < 30
         assert summary.failed == 0
 
         argv = ["fuzz", "--runs", "12", "--seed", "7", "--version", "4.13"]
@@ -820,6 +898,7 @@ class TestGracefulShutdown:
         assert resumed.out == capsys.readouterr().out
         with ResultStore(path) as store:
             assert store.summary().done == 60
+        return summary.done
 
     @staticmethod
     def _alive(pid: int) -> bool:

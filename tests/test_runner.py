@@ -13,11 +13,14 @@ import hashlib
 import inspect
 import json
 import pathlib
+import os
 import pickle
 import resource
+import signal
 import sqlite3
 import subprocess
 import sys
+import textwrap
 import time
 from collections import Counter
 from unittest import mock
@@ -54,7 +57,7 @@ from repro.runner.store import (
 from repro.vulngen.corpus import derive_spec
 from repro.xen.hypervisor import Xen
 from repro.xen.versions import XEN_4_13
-from tests import pool_probes
+from tests import parity, pool_probes
 from tests.conftest import CommitCountingStore
 
 
@@ -271,9 +274,12 @@ class TestResultStore:
 
 
 class TestGroupCommit:
-    """State transitions join one transaction; ``flush`` commits it."""
+    """State transitions join one transaction; the books commit it
+    once per ``_COMMIT_INTERVAL``."""
 
-    def test_serial_runner_commits_once_per_job(self, tmp_path):
+    def test_serial_runner_commits_once_per_job(self, tmp_path, monkeypatch):
+        """With no interval the books commit after every job."""
+        monkeypatch.setattr(pool_module, "_COMMIT_INTERVAL", 0.0)
         specs = [selftest("ok"), selftest("fail"), selftest("flaky:1")]
         store = CommitCountingStore(str(tmp_path / "s.sqlite"))
         try:
@@ -281,6 +287,60 @@ class TestGroupCommit:
             outcome = SerialRunner(retries=1).run(specs, store=store)
             assert len(outcome.results) == 2 and len(outcome.failures) == 1
             assert store.commits == 1 + len(specs)  # register + one per job
+        finally:
+            store.close()
+
+    def test_serial_runner_commits_register_and_close_within_an_interval(
+        self, tmp_path, monkeypatch
+    ):
+        """Inside one interval only registering and closing commit, so a
+        reader sees no job done mid-run and every job done after it."""
+        monkeypatch.setattr(pool_module, "_COMMIT_INTERVAL", 3600.0)
+        specs = [selftest("ok"), selftest("ok:2"), selftest("ok:3")]
+        path = str(tmp_path / "s.sqlite")
+        mid_run: list = []
+
+        def on_event(event) -> None:
+            if event.kind == ev.JOB_FINISHED and event.job_id == specs[1].job_id:
+                with ResultStore(path) as reader:
+                    mid_run.append(reader.completed_ids())
+
+        store = CommitCountingStore(path)
+        try:
+            store.commits = 0
+            outcome = SerialRunner(on_event=on_event).run(specs, store=store)
+            assert len(outcome.results) == 3
+            assert store.commits == 2  # register + close
+            with ResultStore(path) as reader:
+                assert reader.completed_ids() == {s.job_id for s in specs}
+        finally:
+            store.close()
+        assert mid_run == [set()]
+
+    def test_escaping_base_exception_leaves_finished_jobs_committed(
+        self, tmp_path, monkeypatch
+    ):
+        """A job fn raising past the runner (a BaseException is not a
+        job error) still leaves every job finished before it durable."""
+        monkeypatch.setattr(pool_module, "_COMMIT_INTERVAL", 3600.0)
+
+        class Abort(BaseException):
+            pass
+
+        specs = [selftest("ok"), selftest("ok:2"), selftest("ok:3"), selftest("ok:4")]
+
+        def job_fn(spec, attempt):
+            if spec is specs[3]:
+                raise Abort()
+            return execute_job(spec, attempt)
+
+        path = str(tmp_path / "s.sqlite")
+        store = ResultStore(path)
+        try:
+            with pytest.raises(Abort):
+                SerialRunner(job_fn=job_fn).run(specs, store=store)
+            with ResultStore(path) as reader:
+                assert reader.completed_ids() == {s.job_id for s in specs[:3]}
         finally:
             store.close()
 
@@ -329,6 +389,71 @@ class TestGroupCommit:
             writer.flush()
             with ResultStore(path) as reader:
                 assert reader.completed_ids() == {spec.job_id}
+
+
+class TestSerialParentSigkill:
+    def test_sigkill_then_resume_reaches_the_golden_digest(
+        self, tmp_path, capsys
+    ):
+        """A hard-killed serial parent loses only uncommitted jobs.
+
+        The driver runs the golden ``fuzz`` plan and SIGKILLs itself
+        from the event callback of the 10th finished job, after that
+        job's result was recorded but before any later commit: fewer
+        than 10 jobs may come back done, and ``--resume`` must finish
+        the store to the golden digest.
+        """
+        root = pathlib.Path(__file__).resolve().parent.parent
+        path = str(tmp_path / "killed.sqlite")
+        driver = tmp_path / "driver.py"
+        driver.write_text(textwrap.dedent(
+            f"""
+            import os
+            import signal
+            import sys
+
+            sys.path.insert(0, {str(root / "src")!r})
+            from repro.core.fuzz import RandomErroneousStateCampaign
+            from repro.runner import ResultStore, SerialRunner
+            from repro.runner import events as ev
+            from repro.xen.versions import version_by_name
+
+            finished = []
+
+            def on_event(event):
+                if event.kind == ev.JOB_FINISHED:
+                    finished.append(event.job_id)
+                    if len(finished) == 10:
+                        os.kill(os.getpid(), signal.SIGKILL)
+
+            RandomErroneousStateCampaign(
+                version_by_name("4.13"), seed=2023
+            ).run(
+                runs_per_component=3,
+                runner=SerialRunner(on_event=on_event),
+                store=ResultStore({path!r}),
+            )
+            """
+        ))
+        proc = subprocess.run(
+            [sys.executable, str(driver)], timeout=120,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        with ResultStore(path) as store:
+            summary = store.summary()
+        assert summary.total == 15
+        assert summary.done < 10
+        assert summary.failed == 0
+
+        argv = ["fuzz", "--version", "4.13", "--runs", "3", "--resume", path]
+        assert cli_main(argv) == 0
+        assert "resuming: " in capsys.readouterr().err
+        golden = parity.load_golden()["fuzz"]
+        assert golden["plan"] == {
+            "kind": "fuzz", "version": "4.13", "runs": 3, "seed": 2023
+        }
+        assert parity.store_sha256(path) == golden["sha256"]
 
 
 class _FakeProcess:
@@ -387,6 +512,53 @@ class TestBootGrace:
         assert verdicts[0] == (True, [])  # inside the 7.5 s boot grace
         kept, [detail] = verdicts[1]
         assert not kept and "grace 7.5s" in detail
+
+
+class _Inbox(_FakeConn):
+    def __init__(self):
+        self.sent: list = []
+
+    def send(self, batch) -> None:
+        self.sent.append(batch)
+
+
+class _CountingQueue(list):
+    """A pending queue that counts the entries a scan reads."""
+
+    read = 0
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            self.read += 1
+            yield entry
+
+
+class TestAssign:
+    def test_takes_the_first_ready_entries_and_stops_scanning(self):
+        specs = [selftest(f"ok:{i}") for i in range(40)]
+        pool = WorkerPool(jobs=2, batch=3, fork_server=True)
+        later = time.monotonic() + 3600.0
+        pending = _CountingQueue(
+            [(0.0, 0, 0), (later, 1, 1), (0.0, 2, 0), (0.0, 3, 0),
+             (0.0, 4, 0), (later, 5, 1), (0.0, 6, 0)]
+            + [(0.0, index, 0) for index in range(7, 40)]
+        )
+        workers = {
+            worker_id: _Worker(
+                worker_id=worker_id, process=_FakeProcess(), inbox=_Inbox(),
+            )
+            for worker_id in (0, 1)
+        }
+        pool._assign(
+            pending, workers, _Ledger(specs, None, None, 0, 0.0, 0.0)
+        )
+        assert workers[0].inbox.sent == [[(0, 0), (2, 0), (3, 0)]]
+        assert workers[1].inbox.sent == [[(4, 0), (6, 0), (7, 0)]]
+        assert pending[:3] == [(later, 1, 1), (later, 5, 1), (0.0, 8, 0)]
+        assert len(pending) == 34
+        # Each scan stops at its batch's last member: 4 + 5 entries read
+        # of the 40 and 37 then queued.
+        assert pending.read == 4 + 5
 
 
 class TestStorePlanGuard:
