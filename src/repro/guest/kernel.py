@@ -119,12 +119,13 @@ class GuestKernel:
         machine.write_word(l4_mfn, l4_index(base), make_pte(l3_mfn, intermediate))
         machine.write_word(l3_mfn, l3_index(base), make_pte(l2_mfn, intermediate))
         machine.write_word(l2_mfn, l2_index(base), make_pte(l1_mfn, intermediate))
+        l1_entries = []
         for pfn in range(num_pages):
-            mfn = domain.pfn_to_mfn(pfn)
             flags = C.PTE_PRESENT
             if pfn not in pt_pfns and pfn != 0:  # pfn 0 = start_info, RO
                 flags |= C.PTE_RW
-            machine.write_word(l1_mfn, pfn, make_pte(mfn, flags))
+            l1_entries.append(make_pte(domain.pfn_to_mfn(pfn), flags))
+        machine.write_words(l1_mfn, 0, l1_entries)
 
         # Hand the tables to Xen: pin the root, then load it.
         rc = self.hypercall(

@@ -122,14 +122,12 @@ class Xen:
         for _ in range(self.num_pcpus):
             mfn = machine.alloc_frame()
             self.frames.assign(mfn, C.DOMID_XEN)
-            idt = IDT(machine, mfn)
-            for vector in range(C.IDT_VECTORS):
-                idt.set_gate(vector, layout.directmap_va(self.xen_code_mfn, 2))
-            idt.set_gate(
-                C.TRAP_PAGE_FAULT, layout.directmap_va(self.xen_code_mfn, 0)
-            )
-            idt.set_gate(
-                C.TRAP_DOUBLE_FAULT, layout.directmap_va(self.xen_code_mfn, 1)
+            IDT(machine, mfn).fill(
+                layout.directmap_va(self.xen_code_mfn, 2),
+                {
+                    C.TRAP_PAGE_FAULT: layout.directmap_va(self.xen_code_mfn, 0),
+                    C.TRAP_DOUBLE_FAULT: layout.directmap_va(self.xen_code_mfn, 1),
+                },
             )
             self.idt_mfns.append(mfn)
 
@@ -145,17 +143,12 @@ class Xen:
         # 4.9 hardening — the RWX linear-page-table alias.
         self.xen_pud_mfn = machine.alloc_frame()
         self.frames.assign(self.xen_pud_mfn, C.DOMID_XEN)
-        for index in range(layout.LINEAR_ALIAS_FIRST_L3):
-            machine.write_word(
-                self.xen_pud_mfn, index, make_special_pte(C.XEN_SPECIAL_RO_MPT)
-            )
+        pud = [make_special_pte(C.XEN_SPECIAL_RO_MPT)] * layout.LINEAR_ALIAS_FIRST_L3
         if not self.version.has_hardening(Hardening.LINEAR_PT_ALIAS_REMOVED):
-            for index in range(layout.LINEAR_ALIAS_FIRST_L3, C.ENTRIES_PER_TABLE):
-                machine.write_word(
-                    self.xen_pud_mfn,
-                    index,
-                    make_special_pte(C.XEN_SPECIAL_LINEAR_ALIAS),
-                )
+            pud += [make_special_pte(C.XEN_SPECIAL_LINEAR_ALIAS)] * (
+                C.ENTRIES_PER_TABLE - layout.LINEAR_ALIAS_FIRST_L3
+            )
+        machine.write_words(self.xen_pud_mfn, 0, pud)
 
         self.log(f"Xen version {self.version.name} booting")
         self.log(f"{self.machine.num_frames} machine frames available")
@@ -221,11 +214,13 @@ class Xen:
             is_privileged=is_privileged,
             num_vcpus=num_vcpus,
         )
-        for pfn in range(num_pages):
-            mfn = self.machine.alloc_frame()
-            self.frames.assign(mfn, domid, pfn)
-            domain.p2m.append(mfn)
-            self.set_m2p(mfn, pfn)
+        try:
+            for pfn in range(num_pages):
+                mfn = self.machine.alloc_frame()
+                self.frames.assign(mfn, domid, pfn)
+                domain.p2m.append(mfn)
+        finally:
+            self._set_m2p_runs(domain.p2m)
 
         # The start_info page (pfn 0) carries the fingerprint the
         # XSA-148 PoC scans machine memory for.
@@ -380,6 +375,22 @@ class Xen:
     def set_m2p(self, mfn: int, pfn: int) -> None:
         frame_slot, word = divmod(mfn, C.WORDS_PER_PAGE)
         self.machine.write_word(self.m2p_frames[frame_slot], word, pfn)
+
+    def _set_m2p_runs(self, mfns: List[int]) -> None:
+        """``set_m2p(mfns[pfn], pfn)`` for every pfn, with one machine
+        write per run of consecutive MFNs inside one M2P frame."""
+        first = 0
+        for pfn in range(1, len(mfns) + 1):
+            if (
+                pfn == len(mfns)
+                or mfns[pfn] != mfns[pfn - 1] + 1
+                or mfns[pfn] % C.WORDS_PER_PAGE == 0
+            ):
+                frame_slot, word = divmod(mfns[first], C.WORDS_PER_PAGE)
+                self.machine.write_words(
+                    self.m2p_frames[frame_slot], word, range(first, pfn)
+                )
+                first = pfn
 
     def clear_m2p(self, mfn: int) -> None:
         self.set_m2p(mfn, 0)

@@ -15,7 +15,7 @@ fully valid gate, which is what XSA-212-priv does.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import MachineError
 from repro.xen.constants import IDT_PRESENT_BIT, IDT_VECTORS
@@ -67,6 +67,19 @@ class IDT:
         word0, word1 = encode_gate(handler_va)
         self.machine.write_word(self.mfn, 2 * vector, word0)
         self.machine.write_word(self.mfn, 2 * vector + 1, word1)
+
+    def fill(self, handler_va: int, overrides: Dict[int, int]) -> None:
+        """Point every gate at ``handler_va``, then each vector of
+        ``overrides`` at its own handler, in one machine write.
+
+        The table ends up as :meth:`set_gate` over every vector and
+        then over ``overrides`` would leave it.
+        """
+        words = list(encode_gate(handler_va)) * IDT_VECTORS
+        for vector, vector_va in overrides.items():
+            self._check_vector(vector)
+            words[2 * vector : 2 * vector + 2] = encode_gate(vector_va)
+        self.machine.write_words(self.mfn, 0, words)
 
     def clear_gate(self, vector: int) -> None:
         self._check_vector(vector)

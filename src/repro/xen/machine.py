@@ -21,7 +21,7 @@ the same whether or not a checkpoint is held.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,11 +159,56 @@ class Machine:
         return list(zip(hits.tolist(), frame[hits].tolist()))
 
     def read_words(self, mfn: int, start: int, count: int) -> List[int]:
-        return [self.read_word(mfn, start + i) for i in range(count)]
+        """``count`` words from word ``start`` of frame ``mfn``, as
+        Python ints, from one slice read.
 
-    def write_words(self, mfn: int, start: int, values) -> None:
-        for i, value in enumerate(values):
-            self.write_word(mfn, start + i, value)
+        Equal to ``[read_word(mfn, start + i) for i in range(count)]``:
+        an unmaterialised frame reads as zeros and stays
+        unmaterialised, and a bad ``start``, an out-of-range ``mfn`` or
+        a run past the page end raises the :class:`MachineError` that
+        loop would raise first.
+        """
+        if count <= 0:
+            return []
+        self._check_index(start)
+        frame = self._frames.get(mfn)
+        if frame is None:
+            self.check_mfn(mfn)
+        if start + count > WORDS_PER_PAGE:
+            self._check_index(WORDS_PER_PAGE)
+        if frame is None:
+            return [0] * count
+        return frame[start:start + count].tolist()
+
+    def write_words(self, mfn: int, start: int, values: Sequence[int]) -> None:
+        """Write ``values`` to consecutive words from word ``start``.
+
+        Equal to calling :meth:`write_word` for each value in turn.
+        With no ``write_word`` subscribers and the whole run inside the
+        page it is one slice assignment: the frame is materialised as
+        :meth:`write_word` would, and only the blobs inside the run
+        are destroyed.  Otherwise it is that per-word loop, so a
+        subscriber sees one event per word in index order, and a run
+        past the page end writes its in-range prefix before raising.
+        An empty ``values`` touches nothing.
+        """
+        count = len(values)
+        if not count:
+            return
+        if self._p_write_word.subs or not 0 <= start <= WORDS_PER_PAGE - count:
+            for i, value in enumerate(values):
+                self.write_word(mfn, start + i, value)
+            return
+        try:
+            words = np.fromiter(values, np.uint64, count)
+        except OverflowError:  # a negative value, or one wider than 64 bits
+            words = [value & _WORD_MASK for value in values]
+        end = start + count
+        self._frame(mfn)[start:end] = words
+        blobs = self._blobs
+        if blobs:
+            for key in [k for k in blobs if k[0] == mfn and start <= k[1] < end]:
+                del blobs[key]
 
     def zero_frame(self, mfn: int) -> None:
         point = self._p_zero_frame

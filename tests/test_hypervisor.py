@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import GuestFault, HypercallError, HypervisorCrash
+from repro.errors import GuestFault, HypercallError, HypervisorCrash, MachineError
 from repro.xen import constants as C
 from repro.xen import layout
 from repro.xen.hypervisor import Xen
@@ -65,6 +65,31 @@ class TestDomains:
         domain = xen.create_domain("d", num_pages=4)
         for pfn, mfn in enumerate(domain.p2m):
             assert xen.m2p(mfn) == pfn
+
+    def test_m2p_across_frames_and_reused_memory(self):
+        # 1024 frames need two M2P frames; "b" straddles mfn 512, and
+        # "c" gets a's freed frames back in reverse order.
+        xen = Xen(XEN_4_13, Machine(1024))
+        a = xen.create_domain("a", num_pages=400)
+        freed = list(a.p2m)
+        b = xen.create_domain("b", num_pages=200)
+        xen.destroy_domain(a)
+        c = xen.create_domain("c", num_pages=300)
+        assert c.p2m[1] == c.p2m[0] - 1
+        for domain in (b, c):
+            for pfn, mfn in enumerate(domain.p2m):
+                assert xen.m2p(mfn) == pfn
+        assert {xen.m2p(mfn) for mfn in set(freed) - set(c.p2m)} == {0}
+
+    def test_m2p_written_for_pages_allocated_before_running_out(self):
+        xen = Xen(XEN_4_13, Machine(64))
+        free = xen.machine.frames_free
+        with pytest.raises(MachineError, match="out of machine memory"):
+            xen.create_domain("d", num_pages=free + 1)
+        mfns = [mfn for mfn in range(64) if xen.frames.owner_of(mfn) == 0]
+        assert len(mfns) == free
+        for mfn in mfns:
+            assert xen.m2p(mfn) == xen.frames.info(mfn).pfn
 
     def test_destroy_returns_memory(self, xen):
         free_before = xen.machine.frames_free

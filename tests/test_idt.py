@@ -88,3 +88,27 @@ class TestIdtObject:
         idt.set_gate(14, 0x1000)
         idt.machine.write_word(idt.mfn, 28, 0xBAD)  # word0 of vector 14
         assert idt.handler(14) is None
+
+    @given(
+        default=st.integers(min_value=0, max_value=(1 << 64) - 1),
+        overrides=st.dictionaries(
+            st.integers(min_value=0, max_value=255),
+            st.integers(min_value=0, max_value=(1 << 64) - 1),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=30)
+    def test_fill_equals_set_gate_per_vector(self, default, overrides):
+        filled, per_gate = (IDT(Machine(2), 1) for _ in range(2))
+        filled.fill(default, overrides)
+        for vector in range(256):
+            per_gate.set_gate(vector, default)
+        for vector, handler_va in overrides.items():
+            per_gate.set_gate(vector, handler_va)
+        assert filled.machine.read_words(1, 0, 512) == per_gate.machine.read_words(
+            1, 0, 512
+        )
+
+    def test_fill_rejects_a_bad_override_vector(self, idt):
+        with pytest.raises(MachineError):
+            idt.fill(0x1000, {256: 0x2000})

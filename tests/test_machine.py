@@ -1,12 +1,14 @@
 """Unit tests for the raw machine model."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MachineError
+from repro.probes import points as P
 from repro.xen.constants import PAGE_SIZE, WORDS_PER_PAGE
 from repro.xen.machine import BLOB_MARKER, Machine
+from repro.xen.snapshot import machine_digest
 
 
 class TestGeometry:
@@ -256,3 +258,139 @@ class TestMachineProperties:
     def test_split_paddr_inverse(self, paddr):
         mfn, word = Machine.split_paddr(paddr)
         assert mfn * PAGE_SIZE + word * 8 == paddr
+
+
+class _Recorder:
+    """A ``write_word`` subscriber that records every event's arguments."""
+
+    def __init__(self):
+        self.events = []
+
+    def op_enter(self, name, args):
+        self.events.append(args)
+
+    def op_exit(self, name, args, result, exc):
+        pass
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except MachineError as exc:
+        return ("error", str(exc))
+
+
+def _state(machine):
+    return machine_digest(machine), list(machine.iter_blobs())
+
+
+def _word_loop(machine, mfn, start, values):
+    for i, value in enumerate(values):
+        machine.write_word(mfn, start + i, value)
+
+
+#: Machines of four frames: mfn 4 and -1 are out of range.
+_MFNS = st.integers(min_value=-1, max_value=4)
+#: Starts around both page edges, bad ones included.
+_STARTS = st.one_of(
+    st.integers(min_value=-2, max_value=8),
+    st.integers(min_value=WORDS_PER_PAGE - 70, max_value=WORDS_PER_PAGE + 1),
+)
+_WIDE_VALUES = st.lists(
+    st.integers(min_value=-(1 << 70), max_value=1 << 70), max_size=64
+)
+
+
+class TestBulkWordAccess:
+    """``write_words`` / ``read_words`` against the per-word loops they
+    replace, on twin machines."""
+
+    @staticmethod
+    def _twins(mfn, start, blob_offsets, materialise):
+        machines = Machine(4), Machine(4)
+        for machine in machines:
+            if materialise and 0 <= mfn < 4:
+                machine.write_word(mfn, 300 if start < 256 else 3, 7)
+            for offset in blob_offsets:
+                index = min(max(start + offset, 0), WORDS_PER_PAGE - 1)
+                for blob_mfn in {min(max(mfn, 0), 3), 2}:
+                    machine.attach_blob(blob_mfn, index, f"blob-{blob_mfn}-{index}")
+        return machines
+
+    @given(
+        mfn=_MFNS,
+        start=_STARTS,
+        values=_WIDE_VALUES,
+        blob_offsets=st.lists(st.integers(min_value=-2, max_value=66), max_size=6),
+        materialise=st.booleans(),
+        subscribed=st.booleans(),
+    )
+    @settings(max_examples=200)
+    # Edge inputs every run covers: an empty run (on an unmaterialised
+    # and on an out-of-range frame), an unmaterialised frame, an
+    # out-of-range mfn, and a run crossing the page end.
+    @example(3, 0, [], [], False, False)
+    @example(4, 600, [], [], False, False)
+    @example(1, 5, [-1, 1 << 70], [], False, False)
+    @example(4, 0, [1], [], False, False)
+    @example(1, WORDS_PER_PAGE - 2, [1, 2, 3], [-1, 1, 2], True, False)
+    def test_write_words_equals_the_word_loop(
+        self, mfn, start, values, blob_offsets, materialise, subscribed
+    ):
+        bulk, loop = self._twins(mfn, start, blob_offsets, materialise)
+        recorders = _Recorder(), _Recorder()
+        if subscribed:
+            for machine, recorder in zip((bulk, loop), recorders):
+                machine.probes.subscribe(P.WRITE_WORD, recorder)
+        assert _outcome(lambda: bulk.write_words(mfn, start, values)) == _outcome(
+            lambda: _word_loop(loop, mfn, start, values)
+        )
+        assert _state(bulk) == _state(loop)
+        assert recorders[0].events == recorders[1].events
+
+    @given(mfn=_MFNS, start=_STARTS, values=_WIDE_VALUES)
+    @settings(max_examples=60)
+    def test_subscriber_sees_one_event_per_word_in_index_order(
+        self, mfn, start, values
+    ):
+        machine, recorder = Machine(4), _Recorder()
+        machine.probes.subscribe(P.WRITE_WORD, recorder)
+        _outcome(lambda: machine.write_words(mfn, start, values))
+        # The first failing word is seen as it raises; nothing after it.
+        expected = []
+        for i, value in enumerate(values):
+            expected.append((mfn, start + i, value))
+            if not (0 <= start + i < WORDS_PER_PAGE and 0 <= mfn < 4):
+                break
+        assert recorder.events == expected
+
+    @given(
+        mfn=_MFNS,
+        start=_STARTS,
+        count=st.integers(min_value=-1, max_value=80),
+        materialise=st.booleans(),
+    )
+    @settings(max_examples=150)
+    @example(3, 0, 4, False)
+    @example(4, 0, 4, False)
+    @example(1, WORDS_PER_PAGE - 2, 3, True)
+    def test_read_words_equals_the_word_loop(self, mfn, start, count, materialise):
+        blobs = [0, 5] if materialise else []
+        machine = self._twins(mfn, start, blobs, materialise)[0]
+        before = _state(machine)
+        found = _outcome(lambda: machine.read_words(mfn, start, count))
+        assert found == _outcome(
+            lambda: [machine.read_word(mfn, start + i) for i in range(count)]
+        )
+        if found[0] == "ok":
+            assert {type(word) for word in found[1]} <= {int}
+        assert _state(machine) == before
+
+    def test_whole_page_run(self, machine):
+        values = list(range(WORDS_PER_PAGE))
+        machine.attach_blob(4, 0, "first")
+        machine.attach_blob(4, WORDS_PER_PAGE - 1, "last")
+        machine.attach_blob(5, 0, "other frame")
+        machine.write_words(4, 0, values)
+        assert machine.read_words(4, 0, WORDS_PER_PAGE) == values
+        assert list(machine.iter_blobs()) == [(5, 0, "other frame")]
