@@ -89,11 +89,12 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
 def _runner_from_args(args):
     """(runner, store) from the execution flags.
 
-    Returns ``(None, None)`` when the plain serial path applies: each
-    command's default engine, with its exact output.  For ``testcase
-    suite`` and ``fuzz --coverage`` that default is a
-    :class:`~repro.runner.SerialRunner`, the interpreter the parity
-    oracle checks; the other commands keep their in-process loops.
+    Returns ``(None, None)`` when the plain serial path applies: the
+    command's entry point then runs its jobs on its default engine, a
+    :class:`~repro.runner.SerialRunner`, with its exact output.  For a
+    default-configured experiment that runner's job is
+    :func:`~repro.runner.execute_job`, the interpreter the parity oracle
+    checks, so the flags pick only the engine and the store.
     """
     if args.jobs < 1:
         raise SystemExit(f"error: --jobs must be at least 1, got {args.jobs}")
@@ -683,11 +684,9 @@ def _dispatch(args) -> int:
     elif args.command == "rq2":
         from repro.xen.versions import XEN_4_8, XEN_4_13
 
-        results = [
-            campaign.run(u, v, Mode.EXPLOIT)
-            for u in USE_CASES
-            for v in (XEN_4_8, XEN_4_13)
-        ]
+        results = campaign.run_matrix(
+            USE_CASES, (XEN_4_8, XEN_4_13), (Mode.EXPLOIT,)
+        )
         print(render_rq2(results))
     elif args.command == "versions":
         for version in ALL_VERSIONS:

@@ -15,10 +15,10 @@ overall handling rate usable for ranking configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.core.testbed import TestBed, build_testbed
+from repro.core.testbed import TestBed, build_testbed, uncarried_settings
 from repro.core.testcases import REGISTRY
 from repro.xen.versions import XenVersion
 
@@ -122,82 +122,59 @@ class ScoreCard:
 
 
 class SecurityBenchmark:
-    """Run the suite against hypervisor configurations and rank them."""
+    """Run the default suite against hypervisor configurations and rank them."""
 
     def __init__(
         self,
-        suite: Optional[Sequence[BenchmarkItem]] = None,
         testbed_factory: Callable[[XenVersion], TestBed] = build_testbed,
     ):
-        self.suite = list(suite or default_suite())
         self.testbed_factory = testbed_factory
 
     def score(self, version: XenVersion, runner=None, store=None) -> ScoreCard:
-        if runner is not None:
-            return self.score_many([version], runner, store=store)[0]
-        card = ScoreCard(version=version.name)
-        for item in self.suite:
-            bed = self.testbed_factory(version)  # fresh host per item
-            injected, violated = item.run(bed)
-            card.items.append(
-                ItemResult(
-                    name=item.name,
-                    attribute=item.attribute,
-                    injected=injected,
-                    violated=violated,
-                )
-            )
-        return card
+        return self.score_many([version], runner, store)[0]
 
     def score_many(
-        self, versions: Sequence[XenVersion], runner, store=None
+        self, versions: Sequence[XenVersion], runner=None, store=None
     ) -> List[ScoreCard]:
-        """Score versions through a ``repro.runner``: every (item ×
-        version) cell becomes one isolated, parallelizable job.  The
-        parallel path resolves suite items by name in the workers via
-        :func:`default_suite`, so custom items need the serial path."""
-        from repro.runner import plan_benchmark
+        """Score versions; every (version × suite item) cell is one job.
 
-        if self.testbed_factory is not build_testbed:
-            raise ValueError(
-                "custom testbed factories cannot cross process boundaries; "
-                "use the serial path"
+        The jobs run on ``runner`` (a :class:`repro.runner.SerialRunner`
+        or :class:`repro.runner.WorkerPool`), resumable through
+        ``store``, or by default on a ``SerialRunner``.  A job spec names
+        its version, so a custom testbed factory or an unshipped version
+        runs each item on ``testbed_factory(version)`` on a
+        ``SerialRunner`` and is refused with an explicit runner or store
+        (:func:`repro.runner.engine_for`).
+        """
+        from repro.runner import by_spec_name, engine_for, plan_benchmark
+
+        suite = {item.name: item for item in default_suite()}
+        specs = plan_benchmark(list(suite), [v.name for v in versions])
+        by_name = by_spec_name(versions, "versions")
+
+        def run_item(spec, attempt: int) -> dict:
+            item = suite[spec.use_case]
+            bed = self.testbed_factory(by_name[spec.version])
+            injected, violated = item.run(bed)
+            return asdict(ItemResult(item.name, item.attribute, injected, violated))
+
+        uncarried = uncarried_settings(self.testbed_factory, versions)
+        engine = engine_for(runner, store, uncarried, run_item)
+        payloads = engine.run(specs, store=store).payloads_for(specs)
+        return [
+            ScoreCard(
+                version=version.name,
+                items=[
+                    ItemResult(**payload)
+                    for payload in payloads[i * len(suite):(i + 1) * len(suite)]
+                ],
             )
-        names = [item.name for item in self.suite]
-        known = {item.name for item in default_suite()}
-        unknown = [name for name in names if name not in known]
-        if unknown:
-            raise ValueError(
-                f"suite items {unknown} are not default items; custom "
-                "closures cannot cross process boundaries — use the "
-                "serial path"
-            )
-        specs = plan_benchmark(names, [v.name for v in versions])
-        payloads = runner.run(specs, store=store).payloads_for(specs)
-        cards = []
-        index = 0
-        for version in versions:
-            card = ScoreCard(version=version.name)
-            for _ in names:
-                payload = payloads[index]
-                index += 1
-                card.items.append(
-                    ItemResult(
-                        name=payload["name"],
-                        attribute=payload["attribute"],
-                        injected=payload["injected"],
-                        violated=payload["violated"],
-                    )
-                )
-            cards.append(card)
-        return cards
+            for i, version in enumerate(versions)
+        ]
 
     def rank(
         self, versions: Sequence[XenVersion], runner=None, store=None
     ) -> List[ScoreCard]:
         """Score each version; best handling rate first."""
-        if runner is not None:
-            cards = self.score_many(versions, runner, store=store)
-        else:
-            cards = [self.score(version) for version in versions]
+        cards = self.score_many(versions, runner, store)
         return sorted(cards, key=lambda c: c.handling_rate, reverse=True)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.erroneous_state import ErroneousStateReport
 from repro.core.monitor import ViolationReport, recovery_violation
-from repro.core.testbed import TestBed, build_testbed
+from repro.core.testbed import TestBed, build_testbed, uncarried_settings
 from repro.core.topology import DEFAULT_TOPOLOGY, ScenarioTopology
 from repro.errors import HypervisorCrash
 from repro.exploits.base import ExploitFailed, UseCase
@@ -33,6 +33,13 @@ from repro.xen.versions import XenVersion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.recovery import RecoveryReport
+
+
+#: Scheduler rounds every run ticks after the attack, so deferred
+#: effects (vDSO calls, event deliveries) materialise before the audit.
+SETTLE_ROUNDS = 2
+#: Microreboots a ``recover`` run may spend before it is unrecoverable.
+MAX_REBOOTS = 1
 
 
 class Mode(enum.Enum):
@@ -98,9 +105,7 @@ class Campaign:
     def __init__(
         self,
         testbed_factory: Callable[[XenVersion], TestBed] = build_testbed,
-        settle_rounds: int = 2,
         recover: bool = False,
-        max_reboots: int = 1,
         trace_dir: Optional[str] = None,
         trace_keep: str = "failures",
         collect_metrics: bool = False,
@@ -111,13 +116,11 @@ class Campaign:
         #: observer roles).  Defaults to the paper shape; part of job
         #: identity on the parallel path.
         self.topology = topology if topology is not None else DEFAULT_TOPOLOGY
-        self.settle_rounds = settle_rounds
         #: Run the attack phase under the microreboot crash watchdog
         #: (:mod:`repro.resilience`): a hypervisor crash becomes a
         #: *crash-then-recovered* / *crash-unrecoverable* outcome
         #: instead of ending the trial.
         self.recover = recover
-        self.max_reboots = max_reboots
         #: Record every run into ``trace_dir`` (``--trace``).  Traces
         #: are kept for runs that end in a crash, a security violation
         #: or a recovery (``trace_keep="failures"``, the default) or
@@ -190,7 +193,7 @@ class Campaign:
 
             # Let the system run so deferred effects (vDSO calls, event
             # deliveries) materialise, then observe.
-            bed.tick(self.settle_rounds)
+            bed.tick(SETTLE_ROUNDS)
         finally:
             # Unhook before auditing: the observation phase must see
             # the native testbed, and audits are not part of the trace
@@ -292,7 +295,7 @@ class Campaign:
         """
         from repro.resilience.watchdog import CrashWatchdog
 
-        watchdog = CrashWatchdog(bed, max_reboots=self.max_reboots)
+        watchdog = CrashWatchdog(bed, max_reboots=MAX_REBOOTS)
         watchdog.checkpoint()
         audited: dict = {}
 
@@ -319,37 +322,24 @@ class Campaign:
         runner=None,
         store=None,
     ) -> List[RunResult]:
-        """The full matrix, serially or through a ``repro.runner``.
+        """The matrix in (use case, version, mode) order, one job per cell.
 
-        With ``runner`` (a :class:`repro.runner.SerialRunner` or
-        :class:`repro.runner.WorkerPool`) each cell executes as an
-        isolated job — parallel, fault-isolated, and resumable when a
-        :class:`repro.runner.ResultStore` is passed as ``store`` —
-        and the returned list is identical in content and order to a
-        serial run's.
+        The jobs run on ``runner`` (a :class:`repro.runner.SerialRunner`
+        or :class:`repro.runner.WorkerPool`), resumable through
+        ``store``, or by default on a ``SerialRunner``; every engine
+        returns the same list.  Settings a job spec cannot carry — a
+        custom factory, ``trace_keep="always"``, a use-case class or
+        version that is not the registered one of its name — run each
+        cell through :meth:`run` instead (:func:`repro.runner.engine_for`).
+        A failed cell raises :class:`repro.runner.CampaignFailed` after
+        the other cells ran.
         """
-        if runner is not None:
-            return self._run_matrix_with_runner(
-                use_cases, versions, modes, runner, store
-            )
-        results = []
-        for use_case_cls in use_cases:
-            for version in versions:
-                for mode in modes:
-                    results.append(self.run(use_case_cls, version, mode))
-        return results
+        from repro.analysis.report import result_to_dict, run_result_from_dict
+        from repro.core.injections import is_registered, resolve
+        from repro.runner import by_spec_name, engine_for, plan_campaign
 
-    def _run_matrix_with_runner(
-        self, use_cases, versions, modes, runner, store
-    ) -> List[RunResult]:
-        from repro.analysis.report import run_result_from_dict
-        from repro.runner import plan_campaign
-
-        if self.testbed_factory is not build_testbed:
-            raise ValueError(
-                "custom testbed factories cannot cross process boundaries; "
-                "use the serial path"
-            )
+        classes = by_spec_name(use_cases, "use cases")
+        by_name = by_spec_name(versions, "versions")
         specs = plan_campaign(
             [u.name for u in use_cases],
             [v.name for v in versions],
@@ -359,8 +349,24 @@ class Campaign:
             metrics=self.collect_metrics,
             topology=self.topology.spec_value(),
         )
-        outcome = runner.run(specs, store=store)
-        return [run_result_from_dict(p) for p in outcome.payloads_for(specs)]
+
+        def run_cell(spec, attempt: int) -> dict:
+            cell = (classes[spec.use_case], by_name[spec.version], Mode(spec.mode))
+            return result_to_dict(self.run(*cell))
+
+        uncarried = uncarried_settings(self.testbed_factory, versions)
+        if self.trace_keep != "failures":
+            uncarried.append(f"trace_keep={self.trace_keep!r}")
+        custom = [
+            u.name
+            for u in use_cases
+            if not (is_registered(u.name) and resolve(u.name) is u)
+        ]
+        if custom:
+            uncarried.append(f"unregistered use cases {custom}")
+        engine = engine_for(runner, store, uncarried, run_cell)
+        payloads = engine.run(specs, store=store).payloads_for(specs)
+        return [run_result_from_dict(payload) for payload in payloads]
 
     def rq1_runs(
         self,
@@ -368,12 +374,10 @@ class Campaign:
         vulnerable_version: XenVersion,
     ) -> List[Tuple[RunResult, RunResult]]:
         """RQ1: (exploit, injection) pairs on the vulnerable version."""
-        pairs = []
-        for use_case_cls in use_cases:
-            exploit = self.run(use_case_cls, vulnerable_version, Mode.EXPLOIT)
-            injection = self.run(use_case_cls, vulnerable_version, Mode.INJECTION)
-            pairs.append((exploit, injection))
-        return pairs
+        results = self.run_matrix(
+            use_cases, [vulnerable_version], (Mode.EXPLOIT, Mode.INJECTION)
+        )
+        return list(zip(results[::2], results[1::2]))
 
     def table3_runs(
         self,
@@ -382,9 +386,5 @@ class Campaign:
     ) -> Dict[Tuple[str, str], RunResult]:
         """RQ2/RQ3: injection runs on the non-vulnerable versions,
         keyed by ``(use_case, version)`` — Table III's cells."""
-        cells = {}
-        for use_case_cls in use_cases:
-            for version in versions:
-                result = self.run(use_case_cls, version, Mode.INJECTION)
-                cells[(use_case_cls.name, version.name)] = result
-        return cells
+        results = self.run_matrix(use_cases, versions, (Mode.INJECTION,))
+        return {(r.use_case, r.version): r for r in results}

@@ -29,11 +29,11 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.injector import IntrusionInjector
-from repro.core.testbed import TestBed, build_testbed
+from repro.core.testbed import TestBed, build_testbed, uncarried_settings
 from repro.errors import GuestFault, HypervisorCrash
 from repro.guest.kernel import KernelOops
 from repro.xen import layout
@@ -66,23 +66,29 @@ class ComponentTarget:
     frames: FrameSelector
 
 
+_DEFAULT_COMPONENTS = (
+    ComponentTarget("idt", lambda bed: bed.xen.idt_mfns[:1]),
+    ComponentTarget("shared-pud", lambda bed: [bed.xen.xen_pud_mfn]),
+    ComponentTarget("m2p", lambda bed: bed.xen.m2p_frames),
+    ComponentTarget(
+        "victim-pagetables",
+        lambda bed: [
+            bed.victim_domain.pfn_to_mfn(bed.victim_domain.kernel.l4_pfn),
+            bed.victim_domain.pfn_to_mfn(bed.victim_domain.kernel.l1_pfns[0]),
+        ],
+    ),
+    ComponentTarget("victim-data", lambda bed: [bed.victim_domain.pfn_to_mfn(4)]),
+)
+
+
 def default_components() -> List[ComponentTarget]:
-    """The five components the §IV-C example campaign corrupts."""
-    return [
-        ComponentTarget("idt", lambda bed: bed.xen.idt_mfns[:1]),
-        ComponentTarget("shared-pud", lambda bed: [bed.xen.xen_pud_mfn]),
-        ComponentTarget("m2p", lambda bed: bed.xen.m2p_frames),
-        ComponentTarget(
-            "victim-pagetables",
-            lambda bed: [
-                bed.victim_domain.pfn_to_mfn(bed.victim_domain.kernel.l4_pfn),
-                bed.victim_domain.pfn_to_mfn(bed.victim_domain.kernel.l1_pfns[0]),
-            ],
-        ),
-        ComponentTarget(
-            "victim-data", lambda bed: [bed.victim_domain.pfn_to_mfn(4)]
-        ),
-    ]
+    """The five components the §IV-C example campaign corrupts.
+
+    The same objects on every call, so a component is default exactly
+    when it is one of them, selector function included: a custom
+    selector under a default name is not.
+    """
+    return list(_DEFAULT_COMPONENTS)
 
 
 @dataclass
@@ -165,46 +171,39 @@ class RandomErroneousStateCampaign:
     ) -> FuzzReport:
         """Run the campaign; trials derive private seeds from the root.
 
-        With ``runner`` (a :class:`repro.runner.SerialRunner` or
-        :class:`repro.runner.WorkerPool`), trials execute as isolated
-        jobs — in parallel, resumable through ``store`` — and, because
-        every trial is seeded independently, the assembled report is
-        identical to a serial run's.  The parallel path resolves
-        component names in the workers via :func:`default_components`,
-        so custom :class:`ComponentTarget` closures require the serial
-        path.
+        Every trial is one job.  The jobs run on ``runner`` (a
+        :class:`repro.runner.SerialRunner` or
+        :class:`repro.runner.WorkerPool`), resumable through ``store``,
+        or by default on a ``SerialRunner``; because every trial is
+        seeded independently, every engine assembles the same report.
+        A job spec names its component and version, so custom
+        components, a custom factory or an unshipped version run each
+        trial through :meth:`run_trial` instead
+        (:func:`repro.runner.engine_for`).
         """
-        if runner is not None:
-            return self._run_with_runner(runs_per_component, runner, store)
-        report = FuzzReport(version=self.version.name)
-        for component in self.components:
-            for index in range(runs_per_component):
-                seed = trial_seed(self.seed, component.name, index)
-                report.results.append(self.run_trial(component, seed))
-        return report
+        from repro.runner import by_spec_name, engine_for, plan_fuzz
 
-    def _run_with_runner(self, runs_per_component, runner, store) -> FuzzReport:
-        from repro.runner import plan_fuzz
-
-        known = {c.name for c in default_components()}
-        unknown = [c.name for c in self.components if c.name not in known]
-        if unknown:
-            raise ValueError(
-                f"components {unknown} are not default components; "
-                "custom frame selectors cannot cross process boundaries — "
-                "use the serial path"
-            )
+        components = by_spec_name(self.components, "components")
         specs = plan_fuzz(
             self.version.name,
             [c.name for c in self.components],
             runs_per_component,
             self.seed,
         )
-        outcome = runner.run(specs, store=store)
-        report = FuzzReport(version=self.version.name)
-        for payload in outcome.payloads_for(specs):
-            report.results.append(FuzzResult(**payload))
-        return report
+
+        def run_trial(spec, attempt: int) -> dict:
+            return asdict(self.run_trial(components[spec.use_case], spec.seed))
+
+        uncarried = uncarried_settings(self.testbed_factory, [self.version])
+        custom = [c.name for c in self.components if c not in _DEFAULT_COMPONENTS]
+        if custom:
+            uncarried.append(f"custom components {custom}")
+        engine = engine_for(runner, store, uncarried, run_trial)
+        payloads = engine.run(specs, store=store).payloads_for(specs)
+        return FuzzReport(
+            version=self.version.name,
+            results=[FuzzResult(**payload) for payload in payloads],
+        )
 
     def run_trial(self, component: ComponentTarget, seed: int) -> FuzzResult:
         """One injection with a private, recorded RNG seed."""

@@ -15,7 +15,7 @@ only parameter that varies across campaign runs is the Xen version.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.injector import install_injector
 from repro.core.topology import DEFAULT_TOPOLOGY, ScenarioTopology
@@ -24,7 +24,7 @@ from repro.net import Network
 from repro.xen.domain import Domain
 from repro.xen.hypervisor import Xen
 from repro.xen.machine import Machine
-from repro.xen.versions import XenVersion
+from repro.xen.versions import XenVersion, is_shipped
 
 #: The attacker's external machine and listening port (paper §VI-C.3:
 #: ``nc -l -vvv -p 1234`` on host ``xen2``).
@@ -186,3 +186,22 @@ def build_testbed(
             victim.pfn_to_mfn(SECRET_PFN), SECRET_WORD, SECRET_CANARY
         )
     return bed
+
+
+def uncarried_settings(
+    testbed_factory: Callable[[XenVersion], TestBed],
+    versions: Sequence[XenVersion],
+) -> List[str]:
+    """What of a (factory, versions) choice a job spec cannot carry.
+
+    A spec names its version, and the job interpreter boots the shipped
+    version of that name with :func:`build_testbed`; anything else is
+    named here (see :func:`repro.runner.engine_for`).
+    """
+    uncarried = []
+    if testbed_factory is not build_testbed:
+        uncarried.append("custom testbed factories")
+    unshipped = [v.name for v in versions if not is_shipped(v)]
+    if unshipped:
+        uncarried.append(f"unshipped versions {unshipped}")
+    return uncarried

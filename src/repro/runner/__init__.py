@@ -21,6 +21,7 @@ from repro.runner.jobs import (
     TESTCASE,
     JobSpec,
     TransientJobError,
+    by_spec_name,
     execute_job,
     plan_benchmark,
     plan_campaign,
@@ -34,6 +35,7 @@ from repro.runner.pool import (
     RunnerOutcome,
     SerialRunner,
     WorkerPool,
+    engine_for,
     make_runner,
     seeded_backoff,
 )
@@ -72,6 +74,8 @@ __all__ = [
     "TESTCASE",
     "TransientJobError",
     "WorkerPool",
+    "by_spec_name",
+    "engine_for",
     "execute_job",
     "execute_job_cached",
     "make_runner",

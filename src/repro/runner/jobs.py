@@ -148,6 +148,22 @@ _SPEC_FIELDS = tuple(field.name for field in fields(JobSpec))
 # ----------------------------------------------------------------------
 
 
+def by_spec_name(objects: Sequence[Any], what: str) -> Dict[str, Any]:
+    """``{obj.name: obj}`` over ``objects``, the map back from a spec.
+
+    A spec names its use case, version or component, so two different
+    objects under one name would run as one job; that is refused.
+    """
+    by_name: Dict[str, Any] = {}
+    for obj in objects:
+        if by_name.setdefault(obj.name, obj) is not obj:
+            raise ValueError(
+                f"two different {what} are named {obj.name!r}; a job names "
+                f"its {what[:-1]}, so their names must differ"
+            )
+    return by_name
+
+
 def plan_campaign(
     use_cases: Sequence[str],
     versions: Sequence[str],
@@ -298,11 +314,14 @@ def execute_job(
     that is a fresh boot, so nothing is shared with the parent process,
     which is what gives the pool hard crash isolation; the fork-server
     passes its snapshot cache instead
-    (:func:`~repro.runner.forkserver.execute_job_cached`).  Parallel
-    execution resolves names against the default registries (use
-    cases, fuzz components, test cases), so only default-configured
-    experiments are parallelizable — custom closures stay on the serial
-    path.
+    (:func:`~repro.runner.forkserver.execute_job_cached`).  A spec
+    names its use case, component, item or test case and its version,
+    and this resolves them in the default registries, so it runs only
+    default-configured experiments.  An entry point whose configuration
+    a spec cannot carry (a custom factory or frame selector, say) runs
+    its specs through its own in-process primitive on a
+    :class:`~repro.runner.SerialRunner` instead
+    (:func:`~repro.runner.engine_for`).
     """
     run_on = _ON_BED.get(spec.kind)
     if run_on is None:

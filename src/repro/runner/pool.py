@@ -94,6 +94,7 @@ __all__ = [
     "RunnerOutcome",
     "SerialRunner",
     "WorkerPool",
+    "engine_for",
     "make_runner",
     "seeded_backoff",  # re-exported from repro.runner.backoff
 ]
@@ -1158,3 +1159,33 @@ def make_runner(
         circuit_threshold=circuit_threshold, liveness_grace=liveness_grace,
         fork_server=fork_server, batch=batch, recycle_after=recycle_after,
     )
+
+
+def engine_for(
+    runner: Optional[Runner],
+    store: Optional[ResultStore],
+    uncarried: Sequence[str],
+    job_fn: JobFn,
+) -> Runner:
+    """The engine an entry point runs its planned specs on.
+
+    ``Campaign.run_matrix``, ``FuzzCampaign.run`` and
+    ``SecurityBenchmark.score_many`` plan their specs once and run them
+    on what this returns.  ``uncarried`` names each setting of the entry
+    point a :class:`~repro.runner.jobs.JobSpec` cannot carry.  With none,
+    the specs run on ``runner`` or on a plain :class:`SerialRunner`:
+    :func:`~repro.runner.jobs.execute_job`, the interpreter the parity
+    oracle checks.  Otherwise ``job_fn``, a closure over the entry
+    point's own single-cell primitive, runs them on a SerialRunner, and
+    an explicit runner or store is refused: a worker would resolve each
+    spec to the default configuration, and a store would file its result
+    under the default experiment's job ID.
+    """
+    if not uncarried:
+        return runner if runner is not None else SerialRunner()
+    if runner is not None or store is not None:
+        raise ValueError(
+            f"{', '.join(uncarried)} cannot cross process boundaries; use "
+            "the serial path (no runner, no store)"
+        )
+    return SerialRunner(job_fn=job_fn)

@@ -163,3 +163,13 @@ def version_by_name(name: str) -> XenVersion:
         raise KeyError(
             f"unknown Xen version {name!r}; known: {sorted(_BY_NAME)}"
         ) from None
+
+
+def is_shipped(version: XenVersion) -> bool:
+    """Whether ``version`` is the shipped configuration of its name.
+
+    A job spec names its version, and workers look the name up with
+    :func:`version_by_name`; any other object (a :meth:`XenVersion.derive`
+    copy, say) does not survive that trip.
+    """
+    return _BY_NAME.get(version.name) is version

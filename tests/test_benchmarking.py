@@ -88,3 +88,22 @@ class TestScoreCardMechanics:
         handled = ItemResult("a", INTEGRITY, injected=True, violated=False)
         violated = ItemResult("b", INTEGRITY, injected=True, violated=True)
         assert handled.handled and not violated.handled
+
+
+class TestOneEngine:
+    def test_custom_factory_runs_every_item_on_its_own_bed(self):
+        from repro.core.testbed import build_testbed
+        from repro.runner import SerialRunner
+
+        calls = []
+
+        def factory(version):
+            calls.append(version.name)
+            return build_testbed(version)
+
+        benchmark = SecurityBenchmark(testbed_factory=factory)
+        card = benchmark.score(XEN_4_13)
+        assert calls == ["4.13"] * len(default_suite())
+        assert card == SecurityBenchmark().score(XEN_4_13)
+        with pytest.raises(ValueError, match="cannot cross process boundaries"):
+            benchmark.score(XEN_4_13, runner=SerialRunner())

@@ -5,6 +5,7 @@ import pytest
 from repro.core.campaign import Campaign, Mode
 from repro.core.comparison import compare_runs
 from repro.exploits import XSA148Priv, XSA182Test, XSA212Crash
+from repro.exploits.base import ExploitFailed
 from repro.xen.versions import XEN_4_6, XEN_4_8, XEN_4_13
 
 
@@ -102,3 +103,89 @@ class TestCustomTestbedFactory:
         result = campaign.run(XSA212Crash, XEN_4_8, Mode.INJECTION)
         assert not result.erroneous_state.achieved
         assert "rc=" in result.failure
+
+
+class TestOneEngine:
+    """Every matrix runs on a runner; no setting is dropped on the way."""
+
+    def test_table3_custom_factory_called_once_per_cell(self):
+        from repro.core.testbed import build_testbed
+
+        calls = []
+
+        def factory(version):
+            calls.append(version.name)
+            return build_testbed(version)
+
+        campaign = Campaign(testbed_factory=factory)
+        cells = campaign.table3_runs([XSA182Test, XSA212Crash], [XEN_4_8, XEN_4_13])
+        assert calls == ["4.8", "4.13", "4.8", "4.13"]
+        for use_case in (XSA182Test, XSA212Crash):
+            for version in (XEN_4_8, XEN_4_13):
+                alone = campaign.run(use_case, version, Mode.INJECTION)
+                cell = cells[(use_case.name, version.name)]
+                assert cell.summary == alone.summary
+
+    def test_custom_factory_refused_by_a_pool(self):
+        from repro.core.testbed import build_testbed
+        from repro.runner import WorkerPool
+
+        campaign = Campaign(testbed_factory=lambda v: build_testbed(v))
+        with pytest.raises(ValueError, match="cannot cross process boundaries"):
+            campaign.run_matrix([XSA182Test], [XEN_4_13], runner=WorkerPool(jobs=2))
+
+    def test_trace_keep_always_is_honoured_serially(self, tmp_path):
+        campaign = Campaign(trace_dir=str(tmp_path), trace_keep="always")
+        results = campaign.run_matrix([XSA182Test], [XEN_4_13])
+        assert len(list(tmp_path.iterdir())) == 2
+        assert all(r.trace is not None for r in results)
+
+    def test_trace_keep_always_is_refused_by_a_runner(self, tmp_path):
+        from repro.runner import SerialRunner
+
+        campaign = Campaign(trace_dir=str(tmp_path), trace_keep="always")
+        with pytest.raises(ValueError, match="trace_keep='always'"):
+            campaign.run_matrix([XSA182Test], [XEN_4_13], runner=SerialRunner())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unregistered_use_case_and_derived_version(self):
+        from repro.runner import SerialRunner
+        from repro.xen.versions import Vulnerability
+
+        class Unnamed(XSA148Priv):
+            """A subclass that inherits its name and so never registers."""
+
+            def run_injection(self, bed):
+                raise ExploitFailed("this subclass injects nothing")
+
+        without_148 = XEN_4_6.derive(remove_vulns=[Vulnerability.XSA_148])
+        campaign = Campaign()
+        injection, = campaign.run_matrix([Unnamed], [XEN_4_6], [Mode.INJECTION])
+        assert injection.failure == "injection failed: this subclass injects nothing"
+        exploit, = campaign.run_matrix([XSA148Priv], [without_148], [Mode.EXPLOIT])
+        assert exploit.version == "4.6*" and not exploit.violation.occurred
+        for use_case, version in ((Unnamed, XEN_4_6), (XSA148Priv, without_148)):
+            with pytest.raises(ValueError, match="unregistered|unshipped"):
+                campaign.run_matrix([use_case], [version], runner=SerialRunner())
+
+    def test_failing_cell_fails_the_matrix_after_the_rest_ran(self):
+        from repro.runner import CampaignFailed
+
+        ran = []
+
+        class Broken(XSA182Test, register=False):
+            name = "broken"
+
+            def run_injection(self, bed):
+                raise RuntimeError("broken script")
+
+        class Counted(XSA182Test, register=False):
+            name = "counted"
+
+            def run_injection(self, bed):
+                ran.append(True)
+                super().run_injection(bed)
+
+        with pytest.raises(CampaignFailed, match="broken script"):
+            Campaign().run_matrix([Broken, Counted], [XEN_4_13], [Mode.INJECTION])
+        assert ran == [True]

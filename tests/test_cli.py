@@ -39,6 +39,27 @@ class TestTables:
         assert code == 0
         assert "all exploits failed" in out
 
+    def test_sigint_during_table3_is_a_resumable_interrupt(self, capsys):
+        import os
+        import signal
+        from unittest import mock
+
+        from repro.core.campaign import Campaign
+
+        cells = []
+        original_run = Campaign.run
+
+        def interrupted_run(self, *args):
+            cells.append(args)
+            os.kill(os.getpid(), signal.SIGINT)
+            return original_run(self, *args)
+
+        with mock.patch.object(Campaign, "run", interrupted_run):
+            code = main(["table3"])
+        assert code == 130
+        assert len(cells) == 1  # the cell running at the signal finishes
+        assert capsys.readouterr().err.startswith("interrupted: ")
+
 
 class TestRun:
     def test_run_injection(self, capsys):

@@ -125,3 +125,60 @@ class TestSeeding:
             runs_per_component=25
         )
         assert archived.read_text().startswith(report.render())
+
+
+class TestOneEngine:
+    """A custom component or factory is honoured, never substituted."""
+
+    def test_custom_selector_under_a_default_name(self):
+        from repro.runner import SerialRunner
+
+        component = ComponentTarget("idt", lambda bed: [bed.xen.xen_pud_mfn])
+        campaign = RandomErroneousStateCampaign(
+            XEN_4_13, seed=3, components=[component]
+        )
+        report = campaign.run(runs_per_component=3)
+        assert report.results == [
+            campaign.run_trial(component, trial_seed(3, "idt", index))
+            for index in range(3)
+        ]
+        pud = campaign.testbed_factory(XEN_4_13).xen.xen_pud_mfn
+        assert {r.mfn for r in report.results} == {pud}
+        with pytest.raises(ValueError, match=r"custom components \['idt'\]"):
+            campaign.run(runs_per_component=3, runner=SerialRunner())
+
+    def test_custom_factory_called_once_per_trial(self):
+        from repro.core.testbed import build_testbed
+        from repro.runner import SerialRunner
+
+        calls = []
+
+        def factory(version):
+            calls.append(version.name)
+            return build_testbed(version)
+
+        campaign = RandomErroneousStateCampaign(
+            XEN_4_13, seed=3, testbed_factory=factory
+        )
+        custom = campaign.run(runs_per_component=2)
+        assert len(calls) == 2 * len(default_components())
+        assert custom == RandomErroneousStateCampaign(XEN_4_13, seed=3).run(2)
+        with pytest.raises(ValueError, match="custom testbed factories"):
+            campaign.run(runs_per_component=2, runner=SerialRunner())
+        assert len(calls) == 2 * len(default_components())
+
+    def test_two_selectors_under_one_name_are_refused(self):
+        campaign = RandomErroneousStateCampaign(
+            XEN_4_13,
+            components=[
+                ComponentTarget("x", lambda bed: bed.xen.idt_mfns[:1]),
+                ComponentTarget("x", lambda bed: [bed.xen.xen_pud_mfn]),
+            ],
+        )
+        with pytest.raises(ValueError, match="two different components"):
+            campaign.run(runs_per_component=1)
+
+    def test_default_components_are_the_same_objects(self):
+        first, second = default_components(), default_components()
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
