@@ -84,7 +84,18 @@ def timed(fn):
 # ----------------------------------------------------------------------
 
 
-def run_fuzz_campaign(testbed_factory=build_testbed):
+def fresh_testbed(version):
+    """``build_testbed`` behind a factory of its own.
+
+    A custom factory runs every trial in-process on a fresh boot, which
+    is what ``bypassed_testbed`` gets; the default factory would run on
+    the serial runner's snapshot cache instead, so the two
+    configurations would no longer differ in the probe wrappers alone.
+    """
+    return build_testbed(version)
+
+
+def run_fuzz_campaign(testbed_factory=fresh_testbed):
     return FuzzCampaign(
         XEN_4_13, seed=ROOT_SEED, testbed_factory=testbed_factory
     ).run(runs_per_component=TRIALS_PER_COMPONENT)

@@ -93,8 +93,9 @@ def _runner_from_args(args):
     command's entry point then runs its jobs on its default engine, a
     :class:`~repro.runner.SerialRunner`, with its exact output.  For a
     default-configured experiment that runner's job is
-    :func:`~repro.runner.execute_job`, the interpreter the parity oracle
-    checks, so the flags pick only the engine and the store.
+    :func:`~repro.runner.execute_job` on the run's snapshot cache, the
+    engine the parity oracle checks as ``serial``, so the flags pick
+    only the engine and the store.
     """
     if args.jobs < 1:
         raise SystemExit(f"error: --jobs must be at least 1, got {args.jobs}")

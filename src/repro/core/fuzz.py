@@ -216,7 +216,7 @@ class RandomErroneousStateCampaign:
     ) -> FuzzResult:
         """One injection against a caller-provided testbed.
 
-        The fork-server's snapshot-cached execution path: the caller
+        The snapshot-cached execution path: the caller
         owns testbed construction (typically a checkpoint restore
         instead of a fresh boot).  Because the trial RNG is private and
         every draw depends only on the bed's frame layout — identical

@@ -77,9 +77,12 @@ class EventHub:
         self.completed = 0
         self._started_at = time.monotonic()
 
-    def emit(self, kind: str, **fields) -> RunnerEvent:
+    def emit(self, kind: str, **fields) -> None:
+        """Count ``kind`` and, if someone listens, build and send its event."""
         if kind in (JOB_FINISHED, JOB_FAILED, JOB_SKIPPED, JOB_QUARANTINED):
             self.completed += 1
+        if self.callback is None:
+            return
         elapsed = time.monotonic() - self._started_at
         throughput = self.completed / elapsed if elapsed > 0 else 0.0
         remaining = self.total - self.completed
@@ -93,9 +96,7 @@ class EventHub:
             eta=eta,
             **fields,
         )
-        if self.callback is not None:
-            self.callback(event)
-        return event
+        self.callback(event)
 
 
 class ConsoleRenderer:

@@ -26,10 +26,12 @@ first worker starts.  The pool's fork-server configuration
   length-prefixed pipes, amortizing IPC and scheduling overhead.
 
 This module holds the worker side of every pool: the snapshot cache
-and the one worker main.  The cache is only a testbed source —
-:func:`execute_job_cached` is :func:`~repro.runner.jobs.execute_job`
-with :func:`_lease_bed` as its lease, so what a job kind does is
-decided in one place for every engine.  The worker main also runs the
+and the one worker main.  The cache (:class:`SnapshotCache`) is only
+a testbed source — :func:`execute_job_cached` is
+:func:`~repro.runner.jobs.execute_job` with the worker's cache's
+:meth:`~SnapshotCache.lease` as its lease, so what a job kind does is
+decided in one place for every engine.  The serial runner leases from
+a cache of its own, one per run.  The worker main also runs the
 pool's worker-fault hook (the chaos harness's kills, hangs, snapshot
 corruptions and restore wedges) before each job and each restore.
 Persistent processes accumulate state and cached snapshots can rot, so:
@@ -68,7 +70,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.jobs import JobSpec, TransientJobError, execute_job
 from repro.runner.pool import JobFn, WorkerPool
@@ -87,13 +89,8 @@ def preferred_context() -> str:
 
 
 # ----------------------------------------------------------------------
-# Worker-side snapshot cache
+# The snapshot cache
 # ----------------------------------------------------------------------
-#
-# Module-level state is deliberate: each worker is its own process, so
-# these globals are per-worker, and ``execute_job_cached`` stays a
-# plain picklable function.  ``_FAULTS`` is the pool's worker-fault
-# injector (see ``WorkerPool._worker_faults``), or None.
 
 
 @dataclass
@@ -102,79 +99,106 @@ class _CacheEntry:
     checkpoint: Any  # TestbedCheckpoint (imported lazily)
 
 
-_CACHE: Dict[str, _CacheEntry] = {}
-_CACHE_STATS: Dict[str, int] = {}
-_INFRA: List[dict] = []
-_FAULTS: Optional[Any] = None
+class SnapshotCache:
+    """Warm beds, one per (version, topology), with their counters.
 
+    :meth:`lease` is a :data:`~repro.runner.jobs.Lease`: pass it to
+    :func:`~repro.runner.jobs.execute_job` and every job runs on a
+    restored bed.  A cache belongs to one execution context at a time:
+    a fork-server worker keeps one for its whole life
+    (:func:`execute_job_cached`), and a
+    :class:`~repro.runner.SerialRunner` builds one per ``run()`` and
+    drops it at the end, so two runs on two threads never share a bed.
 
-def _stat(key: str, n: int = 1) -> None:
-    _CACHE_STATS[key] = _CACHE_STATS.get(key, 0) + n
-
-
-def _reset_worker_cache() -> None:
-    """Test hook: forget cached beds and counters in this process."""
-    _CACHE.clear()
-    _CACHE_STATS.clear()
-    _INFRA.clear()
-
-
-def _lease_bed(spec: JobSpec, attempt: int, boot: Callable[[], Any]) -> Any:
-    """A testbed for one job: restored from cache, or cold-booted.
-
-    ``boot`` builds a fresh bed of the spec's version and topology; it
-    runs on a cache miss and after an eviction.  The restore path is
-    verified end to end: a cached snapshot whose restore does not
-    reproduce the capture-time machine exactly is evicted, the
-    divergence is recorded as a structured infra event, and the job
-    falls back to the exact cold-boot path a cache miss takes — so a
-    rotten snapshot can cost throughput but never correctness.
+    ``stats`` counts captures, restores, divergences and cold boots;
+    ``infra`` holds one record per diverged restore.  Both grow until
+    :meth:`drain` hands them over.  ``faults`` is the pool's
+    worker-fault injector (see ``WorkerPool._worker_faults``), or None.
     """
-    from repro.core.checkpoint import CheckpointDiverged, TestbedCheckpoint
 
-    # One warm bed per (version, topology): a cached snapshot of the
-    # wrong scenario shape must never serve a job.
-    key = f"{spec.version}|{spec.topology}" if spec.topology else spec.version
-    entry = _CACHE.get(key)
-    if entry is not None:
-        if _FAULTS is not None:
-            _FAULTS.before_restore(entry, spec.job_id, attempt)
-        try:
-            entry.checkpoint.restore(entry.bed)
-            _stat("forkserver.restores")
-            return entry.bed
-        except CheckpointDiverged as exc:
-            del _CACHE[key]
-            _stat("forkserver.restore.diverged")
-            _stat("forkserver.cold_boots")
-            _INFRA.append(
-                {
-                    "kind": "restore-diverged",
-                    "version": key,
-                    "expected": exc.expected,
-                    "actual": exc.actual,
-                }
-            )
-    bed = boot()
-    _CACHE[key] = _CacheEntry(
-        bed=bed, checkpoint=TestbedCheckpoint.capture(bed)
-    )
-    _stat("forkserver.captures")
-    return bed
+    def __init__(self, faults: Optional[Any] = None):
+        self.entries: Dict[str, _CacheEntry] = {}
+        self.stats: Dict[str, int] = {}
+        self.infra: List[dict] = []
+        self.faults = faults
+
+    def _stat(self, key: str) -> None:
+        self.stats[key] = self.stats.get(key, 0) + 1
+
+    def drain(self) -> Tuple[List[dict], Dict[str, int]]:
+        """The infra records and counters since the last drain."""
+        accounts = (self.infra, self.stats)
+        self.infra, self.stats = [], {}
+        return accounts
+
+    def lease(self, spec: JobSpec, attempt: int, boot: Callable[[], Any]) -> Any:
+        """A testbed for one job: restored from cache, or cold-booted.
+
+        ``boot`` builds a fresh bed of the spec's version and topology;
+        it runs on a cache miss and after an eviction.  The restore path
+        is verified end to end: a cached snapshot whose restore does not
+        reproduce the capture-time machine exactly is evicted, the
+        divergence is recorded as a structured infra record, and the
+        job falls back to the exact cold-boot path a cache miss takes —
+        so a rotten snapshot can cost throughput but never correctness.
+        """
+        from repro.core.checkpoint import CheckpointDiverged, TestbedCheckpoint
+
+        # One warm bed per (version, topology): a cached snapshot of the
+        # wrong scenario shape must never serve a job.
+        key = f"{spec.version}|{spec.topology}" if spec.topology else spec.version
+        entry = self.entries.get(key)
+        if entry is not None:
+            if self.faults is not None:
+                self.faults.before_restore(entry, spec.job_id, attempt)
+            try:
+                entry.checkpoint.restore(entry.bed)
+                self._stat("forkserver.restores")
+                return entry.bed
+            except CheckpointDiverged as exc:
+                del self.entries[key]
+                self._stat("forkserver.restore.diverged")
+                self._stat("forkserver.cold_boots")
+                self.infra.append(
+                    {
+                        "kind": "restore-diverged",
+                        "version": key,
+                        "expected": exc.expected,
+                        "actual": exc.actual,
+                    }
+                )
+        bed = boot()
+        self.entries[key] = _CacheEntry(
+            bed=bed, checkpoint=TestbedCheckpoint.capture(bed)
+        )
+        self._stat("forkserver.captures")
+        return bed
+
+
+#: This process's cache, used by :func:`execute_job_cached`.  Each
+#: worker is its own process, so the global is per worker and
+#: ``execute_job_cached`` stays a plain picklable function.
+_WORKER_CACHE = SnapshotCache()
+
+
+def _reset_worker_cache(faults: Optional[Any] = None) -> None:
+    """Start this process's cache afresh: no beds, no counters."""
+    global _WORKER_CACHE
+    _WORKER_CACHE = SnapshotCache(faults)
 
 
 def execute_job_cached(spec: JobSpec, attempt: int = 0) -> Dict[str, object]:
-    """:func:`~repro.runner.jobs.execute_job` on beds from the snapshot cache.
+    """:func:`~repro.runner.jobs.execute_job` on this process's snapshot cache.
 
     Every job kind but the pool's selftests leases its bed from
-    :func:`_lease_bed`: one warm bed per (version, topology), restored
-    to its boot-time checkpoint before every job.  The checkpoint
-    covers every layer a job writes, so the payload — and the trace
-    file of a traced cell — is byte-identical to the cold-boot
-    executor's.  Selftests take no bed and run exactly as under
-    ``execute_job``.
+    :meth:`SnapshotCache.lease`: one warm bed per (version, topology),
+    restored to its boot-time checkpoint before every job.  The
+    checkpoint covers every layer a job writes, so the payload — and
+    the trace file of a traced cell — is byte-identical to the
+    cold-boot executor's.  Selftests take no bed and run exactly as
+    under ``execute_job``.
     """
-    return execute_job(spec, attempt, lease=_lease_bed)
+    return execute_job(spec, attempt, lease=_WORKER_CACHE.lease)
 
 
 # ----------------------------------------------------------------------
@@ -217,9 +241,7 @@ def _forkserver_worker_main(
     # A fork-context child inherits the parent's module state — if the
     # parent process ever ran execute_job_cached itself, that includes
     # its snapshot cache and counters.  Start from a clean slate.
-    _reset_worker_cache()
-    global _FAULTS
-    _FAULTS = faults
+    _reset_worker_cache(faults)
     parent_pid = os.getppid()
     if heartbeat is not None:
 
@@ -260,7 +282,7 @@ def _forkserver_worker_main(
             # What this job did to the worker rides on its own result:
             # the parent applies it only when it acks the result.
             accounts = (
-                list(_INFRA), dict(_CACHE_STATS),
+                *_WORKER_CACHE.drain(),
                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             )
             try:
@@ -272,8 +294,6 @@ def _forkserver_worker_main(
                 )
             except OSError:
                 return  # the parent is gone; nobody is listening
-            _INFRA.clear()
-            _CACHE_STATS.clear()
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ given a spec (and nothing else — workers share no state with the
 parent), it runs the experiment and returns a plain-dict payload that
 survives pickling and JSON storage.  Every kind but the pool's
 selftests gets its testbed through one lease call there: a fresh boot
-by default, a restored snapshot under the fork-server's cache.
+by default, a restored snapshot under a snapshot cache (the serial
+runner's, one per run, or a fork-server worker's).
 """
 
 from __future__ import annotations
@@ -311,10 +312,13 @@ def execute_job(
     The only code that decides what a job kind does, and the only code
     that gets a job its testbed: every kind but the pool's selftests
     runs on the one bed this function takes from ``lease``.  By default
-    that is a fresh boot, so nothing is shared with the parent process,
-    which is what gives the pool hard crash isolation; the fork-server
-    passes its snapshot cache instead
-    (:func:`~repro.runner.forkserver.execute_job_cached`).  A spec
+    that is a fresh boot, what the spawn pool's workers run and the
+    cold-boot reference every cache is checked against.  A
+    :class:`~repro.runner.forkserver.SnapshotCache` passes its
+    ``lease`` instead, restoring one verified bed per (version,
+    topology): each fork-server worker keeps one cache
+    (:func:`~repro.runner.forkserver.execute_job_cached`), and a
+    :class:`~repro.runner.SerialRunner` builds one per run.  A spec
     names its use case, component, item or test case and its version,
     and this resolves them in the default registries, so it runs only
     default-configured experiments.  An entry point whose configuration

@@ -52,7 +52,8 @@ properties the serial campaign loop cannot offer:
   store, and leave it resumable instead of dying mid-write.
 
 :class:`SerialRunner` is the in-process twin (minus timeout
-enforcement); ``--jobs 1`` uses it.  Both runners share one ``run()``
+enforcement); ``--jobs 1`` uses it, with a snapshot cache of its own
+per run.  Both runners share one ``run()``
 and keep one set of books: a per-run ``_Ledger`` is the only code that
 writes a job's store transitions and emits its events, so serial and
 parallel campaigns record the same rows and events and share one
@@ -62,6 +63,7 @@ persistence/resume story.
 from __future__ import annotations
 
 import atexit
+import functools
 import importlib
 import itertools
 import multiprocessing
@@ -259,6 +261,9 @@ class _Ledger:
             self.hub.emit(ev.JOB_SKIPPED, job_id=spec.job_id)
 
     def _emit(self, kind: str, spec: JobSpec, attempt: int, **fields) -> None:
+        if self.hub.callback is None:
+            self.hub.emit(kind)  # counted; with no listener nothing is built
+            return
         self.hub.emit(
             kind, job_id=spec.job_id, label=spec.label, attempt=attempt,
             **fields,
@@ -365,6 +370,11 @@ class _Runner:
         self.job_fn = job_fn
         self.on_event = on_event
         self._stop_requested = False
+        #: The last run's infrastructure counters (restores,
+        #: divergences, cold boots, recycles, degradations).  They
+        #: describe execution machinery and never reach persisted
+        #: trial results.
+        self.stats: Dict[str, int] = {}
 
     def request_stop(self) -> None:
         """Cooperative interruption from another thread.
@@ -405,6 +415,31 @@ class _Runner:
     def _execute(self, books: _Ledger, stopped: Callable[[], bool]) -> None:
         raise NotImplementedError
 
+    def _count(self, key: str, n: int = 1) -> None:
+        self.stats[key] = self.stats.get(key, 0) + n
+
+    def _account(
+        self, books: _Ledger, job_id: str, worker: int,
+        infra: List[dict], counters: Dict[str, int],
+    ) -> None:
+        """Apply what one job did to the snapshot cache that served it:
+        announce each diverged restore and add the cache's counters to
+        ``stats``."""
+        for record in infra:
+            if record.get("kind") == "restore-diverged":
+                books.hub.emit(
+                    ev.RESTORE_DIVERGED,
+                    job_id=job_id,
+                    worker=worker,
+                    detail=(
+                        f"xen-{record.get('version', '?')}: restored digest "
+                        f"{record.get('actual', '')[:12]} != checkpoint "
+                        f"{record.get('expected', '')[:12]}"
+                    ),
+                )
+        for key in sorted(counters):
+            self._count(key, counters[key])
+
 
 # ----------------------------------------------------------------------
 # Serial execution (the --jobs 1 path)
@@ -412,48 +447,70 @@ class _Runner:
 
 
 class SerialRunner(_Runner):
-    """In-process executor with the pool's store/retry/event semantics."""
+    """In-process executor with the pool's store/retry/event semantics.
+
+    With ``job_fn=None`` (the default) each job runs
+    :func:`~repro.runner.jobs.execute_job` on a bed leased from a
+    :class:`~repro.runner.forkserver.SnapshotCache` that belongs to
+    this ``run()`` call: the first job of each (version, topology)
+    boots and captures a bed, and every later one restores it, verified,
+    exactly as a fork-server worker does.  The cache is built when the
+    run starts and dropped when it ends, never shared: the campaign
+    service runs several serial campaigns at once on its threads, and
+    one bed must never serve two of them.  ``stats`` counts the run's
+    captures, restores, divergences and cold boots, and a diverged
+    restore emits ``restore-diverged`` as in the pool.  An explicit
+    ``job_fn`` (``execute_job`` for a cold boot per job, or an entry
+    point's own closure) runs as given, with no cache.
+    """
 
     def __init__(
         self,
         retries: int = 1,
         backoff: float = 0.0,
         max_backoff: float = 5.0,
-        job_fn: JobFn = execute_job,
+        job_fn: Optional[JobFn] = None,
         on_event: Optional[EventCallback] = None,
     ):
         super().__init__(retries, backoff, max_backoff, job_fn, on_event)
 
     def _execute(self, books: _Ledger, stopped: Callable[[], bool]) -> None:
+        from repro.runner.forkserver import SnapshotCache
+
+        self.stats = {}
+        cache = None
+        job_fn = self.job_fn
+        if job_fn is None:
+            cache = SnapshotCache()
+            job_fn = functools.partial(execute_job, lease=cache.lease)
         for index in books.remaining:
             spec = books.specs[index]
             attempt = 0
             while not stopped():
                 books.started(spec, attempt)
                 started = time.perf_counter()
+                error: Optional[Exception] = None
                 try:
-                    payload = self.job_fn(spec, attempt)
+                    payload = job_fn(spec, attempt)
                 except Exception as exc:
-                    detail = f"{type(exc).__name__}: {exc}"
-                    books.attempt_lost(
-                        spec, attempt, "error", detail,
-                        time.perf_counter() - started,
-                    )
-                    delay = books.retry_or_fail(
-                        spec, attempt, detail,
-                        isinstance(exc, TransientJobError),
-                    )
-                    if delay is None:
-                        break
-                    attempt += 1
-                    if delay:
-                        books.commit()
-                        time.sleep(delay)
-                    continue
-                books.finished(
-                    spec, attempt, payload, time.perf_counter() - started
+                    error = exc
+                wall = time.perf_counter() - started
+                if cache is not None:
+                    self._account(books, spec.job_id, -1, *cache.drain())
+                if error is None:
+                    books.finished(spec, attempt, payload, wall)
+                    break
+                detail = f"{type(error).__name__}: {error}"
+                books.attempt_lost(spec, attempt, "error", detail, wall)
+                delay = books.retry_or_fail(
+                    spec, attempt, detail, isinstance(error, TransientJobError)
                 )
-                break
+                if delay is None:
+                    break
+                attempt += 1
+                if delay:
+                    books.commit()
+                    time.sleep(delay)
             books.flush()
             if stopped():
                 break
@@ -670,11 +727,6 @@ class WorkerPool(_Runner):
         self.fork_server = fork_server
         self.batch = batch
         self.recycle_after = recycle_after
-        #: The last run's infrastructure counters (restores,
-        #: divergences, cold boots, recycles, degradations).  They
-        #: describe execution machinery and never reach persisted
-        #: trial results.
-        self.stats: Dict[str, int] = {}
         self._configure(fork_server)
         self._poison = PoisonTracker(poison_threshold)
         self._circuit = CircuitBreaker(circuit_threshold)
@@ -754,9 +806,6 @@ class WorkerPool(_Runner):
             self._ctx = pool_context()
             self._batch = 1
             self._job_fn = self.job_fn or execute_job
-
-    def _count(self, key: str, n: int = 1) -> None:
-        self.stats[key] = self.stats.get(key, 0) + n
 
     # -- scheduling internals ------------------------------------------
 
@@ -937,10 +986,7 @@ class WorkerPool(_Runner):
         worker.started_at = time.monotonic()  # the next member's clock
         self._circuit.record_success()  # the worker survived its job
         infra, counters, rss = accounts
-        for record in infra:
-            self._on_infra(record, job_id, worker, books)
-        for key in sorted(counters):
-            self._count(key, counters[key])
+        self._account(books, job_id, worker_id, infra, counters)
         if status == "done":
             books.finished(spec, attempt, payload, wall, worker=worker_id)
         else:
@@ -951,19 +997,6 @@ class WorkerPool(_Runner):
             worker.batch = []
             worker.acked = 0
             self._recycle_if_due(worker, rss, workers, books)
-
-    def _on_infra(self, record, job_id, worker, books) -> None:
-        if record.get("kind") == "restore-diverged":
-            books.hub.emit(
-                ev.RESTORE_DIVERGED,
-                job_id=job_id,
-                worker=worker.worker_id,
-                detail=(
-                    f"xen-{record.get('version', '?')}: restored digest "
-                    f"{record.get('actual', '')[:12]} != checkpoint "
-                    f"{record.get('expected', '')[:12]}"
-                ),
-            )
 
     def _recycle_if_due(self, worker, rss, workers, books) -> None:
         """Retire a worker whose batch just ended, if it is due.
@@ -1140,17 +1173,18 @@ def make_runner(
 ) -> Runner:
     """A SerialRunner for ``jobs=1``, a WorkerPool otherwise.
 
-    ``fork_server=True`` selects the pool's snapshot-cached fork-server
-    configuration at any job count (even one worker benefits from the
-    snapshot cache).  ``job_fn=None`` runs each configuration's own
-    executor.
+    ``fork_server=True`` selects the pool's fork-server configuration at
+    any job count.  ``job_fn=None`` runs each engine's own executor:
+    :func:`~repro.runner.jobs.execute_job` on the run's own snapshot
+    cache for the serial runner, on a fresh boot per job for the spawn
+    pool, and on each worker's cache for the fork-server pool.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs == 1 and not fork_server:
         return SerialRunner(
             retries=retries, max_backoff=max_backoff,
-            job_fn=job_fn or execute_job, on_event=on_event,
+            job_fn=job_fn, on_event=on_event,
         )
     return WorkerPool(
         jobs=jobs, timeout=timeout, retries=retries,
@@ -1173,9 +1207,10 @@ def engine_for(
     ``SecurityBenchmark.score_many`` plan their specs once and run them
     on what this returns.  ``uncarried`` names each setting of the entry
     point a :class:`~repro.runner.jobs.JobSpec` cannot carry.  With none,
-    the specs run on ``runner`` or on a plain :class:`SerialRunner`:
-    :func:`~repro.runner.jobs.execute_job`, the interpreter the parity
-    oracle checks.  Otherwise ``job_fn``, a closure over the entry
+    the specs run on ``runner`` or on a plain :class:`SerialRunner`,
+    whose :func:`~repro.runner.jobs.execute_job` leases each bed from
+    the run's snapshot cache: the engine the parity oracle checks as
+    ``serial``.  Otherwise ``job_fn``, a closure over the entry
     point's own single-cell primitive, runs them on a SerialRunner, and
     an explicit runner or store is refused: a worker would resolve each
     spec to the default configuration, and a store would file its result

@@ -9,8 +9,9 @@ the probe-coverage map:
 
 1. plan a **round** of ``(entry, mutation, seed)`` trials;
 2. execute them as runner jobs (on the serial runner by default),
-   each on the bed the job interpreter leases for it: a fresh boot,
-   or a restored snapshot under the fork-server;
+   each on the bed the job interpreter leases for it: a restored
+   snapshot on the serial runner and the fork-server, a fresh boot on
+   the spawn pool;
 3. fold each trial's coverage signature into the global
    :class:`~repro.vulngen.coverage.CoverageMap`;
 4. credit entries whose trials contributed unseen features with
@@ -284,8 +285,9 @@ class CoverageFuzzCampaign:
     Rounds are barriers: round *k* is planned only from the coverage
     digest after round *k-1*, executed as one runner job per trial (the
     serial runner unless ``run`` is given one), and integrated in slot
-    order.  Every trial goes through the job interpreter, so under the
-    fork-server it runs on a restored snapshot instead of a cold boot.
+    order.  Every trial goes through the job interpreter, so on the
+    serial runner and the fork-server it runs on a restored snapshot
+    instead of a cold boot.
     Multi-round campaigns must not share a result store across rounds
     (each round is a different job plan), so every round runs with
     ``store=None`` — coverage campaigns are cheap to re-run precisely

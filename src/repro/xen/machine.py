@@ -84,7 +84,11 @@ class Machine:
             raise MachineError("out of machine memory")
         mfn = self._free.pop()
         self._allocated.add(mfn)
-        self.zero_frame(mfn)
+        # An unmaterialised frame is already zero, and holds no blob
+        # (attaching one materialises its frame): clearing it changes
+        # nothing, so it is skipped unless a subscriber sees the event.
+        if mfn in self._frames or self._p_zero_frame.subs:
+            self.zero_frame(mfn)
         return mfn
 
     def alloc_frames(self, count: int) -> List[int]:

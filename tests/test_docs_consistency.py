@@ -243,3 +243,65 @@ class TestQuotedCommitInterval:
         from repro.runner import pool, store
 
         assert self._seconds(store.__doc__, pattern) == pool._COMMIT_INTERVAL
+
+
+class TestQuotedSerialCachePairs:
+    """The serial snapshot-cache entry in EXPERIMENTS.md quotes the
+    medians and quartiles of the benchmark pairs archived beside it."""
+
+    ARCHIVE = ROOT / "benchmarks" / "output" / "serial_snapshot_cache_pairs.json"
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        import json
+
+        return json.loads(self.ARCHIVE.read_text())["workloads"]
+
+    @staticmethod
+    def _summary(runs, side, metric):
+        import statistics
+
+        values = [run[side][metric] for run in runs]
+        q1, _q2, q3 = statistics.quantiles(values, n=4)
+        return statistics.median(values), q1, q3
+
+    @pytest.mark.parametrize(
+        "workload", ["fuzz-serial", "fuzz-fork", "matrix-fork", "service-tenants"]
+    )
+    def test_jobs_per_s_medians_and_quartiles(self, pairs, workload):
+        runs = pairs[workload]
+        quoted = TestQuotedThroughputFigures._quoted(
+            "EXPERIMENTS.md",
+            rf"\| {workload} \| {len(runs)} \({runs[0]['seed']}–"
+            rf"{runs[-1]['seed']}\) \| ([\d.]+) \[([\d.]+)–([\d.]+)\] → "
+            r"([\d.]+) \[([\d.]+)–([\d.]+)\]",
+        )
+        figures = self._summary(runs, "parent", "jobs_per_s") + self._summary(
+            runs, "change", "jobs_per_s"
+        )
+        for value, figure in zip(figures, quoted):
+            assert TestQuotedThroughputFigures._rounds_to(value, figure), (
+                value, figure,
+            )
+
+    def test_fuzz_serial_campaign_p50_medians(self, pairs):
+        runs = pairs["fuzz-serial"]
+        quoted = TestQuotedThroughputFigures._quoted(
+            "EXPERIMENTS.md",
+            r"serial `campaign_p50_s` went ([\d.]+) → ([\d.]+) s",
+        )
+        figures = [
+            self._summary(runs, side, "campaign_p50_s")[0]
+            for side in ("parent", "change")
+        ]
+        for value, figure in zip(figures, quoted):
+            assert TestQuotedThroughputFigures._rounds_to(value, figure), (
+                value, figure,
+            )
+
+    def test_every_archived_run_was_correct(self, pairs):
+        for workload, runs in pairs.items():
+            for run in runs:
+                for side in ("parent", "change"):
+                    assert run[side]["correct"], (workload, run["seed"], side)
+                    assert run[side]["failed"] == 0, (workload, run["seed"], side)

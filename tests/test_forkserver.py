@@ -1,6 +1,6 @@
 """Tests for fork-server execution: checkpoints, cache, pool, shutdown.
 
-Three layers of coverage:
+Four layers of coverage:
 
 * :class:`~repro.core.checkpoint.TestbedCheckpoint` — capture/restore
   is an exact inverse (a hypothesis property over ≥3 consecutive
@@ -12,6 +12,8 @@ Three layers of coverage:
 * the worker-side snapshot cache (``execute_job_cached``) — byte
   parity with the cold-boot executor over fuzz trials and the whole
   campaign matrix, divergence eviction and cold-boot fallback;
+* the serial runner's per-run cache — counters, divergence events,
+  and two concurrent runs that never share a bed;
 * :class:`~repro.runner.forkserver.ForkServerPool` (the pool's
   fork-server configuration) — batch dispatch, crash/timeout recovery
   mid-batch, worker recycling, degradation to the spawn configuration,
@@ -20,6 +22,7 @@ Three layers of coverage:
 """
 
 import copy
+import gc
 import math
 import multiprocessing
 import os
@@ -30,6 +33,7 @@ import sys
 import textwrap
 import threading
 import time
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -55,6 +59,7 @@ from repro.runner import (
     WorkerPool,
     execute_job,
     execute_job_cached,
+    make_runner,
     plan_benchmark,
     plan_campaign,
     plan_coverage_round,
@@ -65,11 +70,13 @@ from repro.runner import events as ev
 from repro.runner import forkserver
 from repro.runner import pool as pool_module
 from repro.runner.forkserver import _reset_worker_cache, preferred_context
+from repro.service.plans import canonical_plan, expand_plan
 from repro.vulngen.corpus import generate_corpus
 from repro.vulngen.schedule import CoverageGuidedScheduler
 from repro.xen.frames import PageType
 from repro.xen.snapshot import machine_digest
 from repro.xen.versions import ALL_VERSIONS, XEN_4_13
+from tests import parity
 from tests.conftest import CommitCountingStore, churn_frames, frame_table
 
 
@@ -252,21 +259,21 @@ class TestExecuteJobCached:
         specs = plan_fuzz("4.13", ["idt", "victim-data"], 3, 20230701)
         reference = [execute_job(spec) for spec in specs]
         assert [execute_job_cached(spec) for spec in specs] == reference
-        assert forkserver._CACHE_STATS["forkserver.captures"] == 1
-        assert forkserver._CACHE_STATS["forkserver.restores"] == len(specs) - 1
+        assert forkserver._WORKER_CACHE.stats["forkserver.captures"] == 1
+        assert forkserver._WORKER_CACHE.stats["forkserver.restores"] == len(specs) - 1
 
     def test_rotten_cache_evicts_and_cold_boots_identically(self):
         spec = plan_fuzz("4.13", ["idt"], 2, 99)[0]
         reference = execute_job(spec)
         assert execute_job_cached(spec) == reference  # populates the cache
-        _corrupt(forkserver._CACHE[spec.version].checkpoint)
+        _corrupt(forkserver._WORKER_CACHE.entries[spec.version].checkpoint)
         assert execute_job_cached(spec) == reference  # detected, cold-booted
-        assert forkserver._CACHE_STATS["forkserver.restore.diverged"] == 1
-        assert forkserver._CACHE_STATS["forkserver.cold_boots"] == 1
-        assert [e["kind"] for e in forkserver._INFRA] == ["restore-diverged"]
+        assert forkserver._WORKER_CACHE.stats["forkserver.restore.diverged"] == 1
+        assert forkserver._WORKER_CACHE.stats["forkserver.cold_boots"] == 1
+        assert [e["kind"] for e in forkserver._WORKER_CACHE.infra] == ["restore-diverged"]
         # the evicted entry was re-captured: the next trial restores again
         assert execute_job_cached(spec) == reference
-        assert forkserver._CACHE_STATS["forkserver.captures"] == 2
+        assert forkserver._WORKER_CACHE.stats["forkserver.captures"] == 2
 
     def test_campaign_matrix_parity_with_cold_executor(self):
         """The 42-cell matrix on three warm beds, one per version."""
@@ -276,8 +283,8 @@ class TestExecuteJobCached:
         assert len(specs) == 42
         for spec in specs:
             assert execute_job_cached(spec) == execute_job(spec), spec.label
-        assert forkserver._CACHE_STATS["forkserver.captures"] == 3
-        assert forkserver._CACHE_STATS["forkserver.restores"] == 39
+        assert forkserver._WORKER_CACHE.stats["forkserver.captures"] == 3
+        assert forkserver._WORKER_CACHE.stats["forkserver.restores"] == 39
 
     def test_traced_recovering_metrics_cells_match_cold_runs(self, tmp_path):
         """Trace files byte-equal; payloads equal but for the recovery
@@ -298,7 +305,7 @@ class TestExecuteJobCached:
         warm = [untimed(execute_job_cached(s)) for s in plan(tmp_path / "warm")]
         assert warm == cold
         assert any("recovery" in p for p in cold)
-        assert forkserver._CACHE_STATS["forkserver.restores"] == len(cold) - 1
+        assert forkserver._WORKER_CACHE.stats["forkserver.restores"] == len(cold) - 1
         names = sorted(os.listdir(tmp_path / "cold"))
         assert names and names == sorted(os.listdir(tmp_path / "warm"))
         for name in names:
@@ -310,11 +317,11 @@ class TestExecuteJobCached:
         spec = plan_campaign(["xdom-ring-tamper"], ["4.6"], ["exploit"])[0]
         reference = execute_job(spec)
         assert execute_job_cached(spec) == reference  # populates the cache
-        _corrupt(forkserver._CACHE[spec.version].checkpoint)
+        _corrupt(forkserver._WORKER_CACHE.entries[spec.version].checkpoint)
         assert execute_job_cached(spec) == reference  # detected, cold-booted
-        assert forkserver._CACHE_STATS["forkserver.restore.diverged"] == 1
-        assert forkserver._CACHE_STATS["forkserver.cold_boots"] == 1
-        assert [e["kind"] for e in forkserver._INFRA] == ["restore-diverged"]
+        assert forkserver._WORKER_CACHE.stats["forkserver.restore.diverged"] == 1
+        assert forkserver._WORKER_CACHE.stats["forkserver.cold_boots"] == 1
+        assert [e["kind"] for e in forkserver._WORKER_CACHE.infra] == ["restore-diverged"]
 
     def test_benchmark_testcase_and_coverage_jobs_match_cold_runs(self):
         """The newly leased kinds on warm beds: one capture per version,
@@ -331,8 +338,8 @@ class TestExecuteJobCached:
         )
         for spec in specs:
             assert execute_job_cached(spec) == execute_job(spec), spec.label
-        assert forkserver._CACHE_STATS["forkserver.captures"] == len(ALL_VERSIONS)
-        assert forkserver._CACHE_STATS["forkserver.restores"] == (
+        assert forkserver._WORKER_CACHE.stats["forkserver.captures"] == len(ALL_VERSIONS)
+        assert forkserver._WORKER_CACHE.stats["forkserver.restores"] == (
             len(specs) - len(ALL_VERSIONS)
         )
 
@@ -341,7 +348,7 @@ class TestExecuteJobCached:
         spec = selftest("ok")
         payload = execute_job_cached(spec)
         assert payload["status"] == "ok"
-        assert forkserver._CACHE == {}
+        assert forkserver._WORKER_CACHE.entries == {}
 
 
 @dataclass
@@ -358,6 +365,122 @@ class _CorruptEveryRestore:
 class _RottenCachePool(ForkServerPool):
     def _worker_faults(self):
         return _CorruptEveryRestore()
+
+
+class _RotFirstRestoreCache(forkserver.SnapshotCache):
+    """A serial run's cache whose first warm restore finds rot; every
+    instance is remembered weakly, to see when the run drops it."""
+
+    built: list = []
+
+    def __init__(self):
+        super().__init__(faults=self)
+        self.rotted = False
+        _RotFirstRestoreCache.built.append(weakref.ref(self))
+
+    def before_restore(self, entry, job_id: str, attempt: int) -> None:
+        if not self.rotted:
+            self.rotted = True
+            _corrupt(entry.checkpoint)
+
+
+class TestSerialSnapshotCache:
+    """``SerialRunner()`` leases every bed from a cache of its own run."""
+
+    def setup_method(self):
+        _reset_worker_cache()
+
+    def test_restores_match_cold_boots_and_are_counted(self):
+        specs = plan_fuzz("4.13", ["idt", "victim-data"], 3, 20230701)
+        runner = SerialRunner()
+        outcome = runner.run(specs)
+        cold = SerialRunner(job_fn=execute_job).run(specs)
+        assert outcome.results == cold.results
+        assert runner.stats == {
+            "forkserver.captures": 1,
+            "forkserver.restores": len(specs) - 1,
+        }
+        # the run's cache is its own: this process's worker cache is untouched
+        assert forkserver._WORKER_CACHE.entries == {}
+
+    def test_explicit_job_fn_runs_without_a_cache(self):
+        specs = plan_fuzz("4.13", ["idt"], 2, 7)
+        runner = SerialRunner(job_fn=execute_job)
+        runner.run(specs)
+        assert runner.stats == {}
+        assert make_runner(jobs=1).job_fn is None
+
+    def test_rotten_restore_evicts_cold_boots_and_emits_once(self, monkeypatch):
+        monkeypatch.setattr(_RotFirstRestoreCache, "built", [])
+        monkeypatch.setattr(forkserver, "SnapshotCache", _RotFirstRestoreCache)
+        specs = plan_fuzz("4.13", ["idt", "m2p"], 3, 99)
+        recorder = EventRecorder()
+        runner = SerialRunner(on_event=recorder)
+        outcome = runner.run(specs)
+        assert not outcome.failures
+        assert [outcome.results[s.job_id] for s in specs] == [
+            execute_job(spec) for spec in specs
+        ]
+        assert runner.stats == {
+            "forkserver.captures": 2,
+            "forkserver.restores": len(specs) - 2,
+            "forkserver.restore.diverged": 1,
+            "forkserver.cold_boots": 1,
+        }
+        diverged = [e for e in recorder.events if e.kind == ev.RESTORE_DIVERGED]
+        assert len(diverged) == 1
+        assert diverged[0].job_id == specs[1].job_id
+        assert diverged[0].worker == -1
+        assert diverged[0].detail.startswith("xen-4.13: restored digest ")
+        # one cache per run, and none outlives its run
+        gc.collect()
+        assert [ref() for ref in _RotFirstRestoreCache.built] == [None]
+
+    def test_concurrent_runs_never_share_a_bed(self, tmp_path, monkeypatch):
+        """Two serial runs at once on two threads, as the campaign
+        service runs them: each store compacts to the golden digest,
+        and no bed is leased by both runs.  A short switch interval
+        interleaves the threads mid-trial."""
+        entry = parity.load_golden()["fuzz"]
+        specs = expand_plan(canonical_plan(entry["plan"]))
+        paths = [str(tmp_path / f"thread-{i}.sqlite") for i in range(2)]
+        barrier = threading.Barrier(2)
+        errors = []
+        leased = {}  # thread -> every bed it leased (kept alive: ids stay unique)
+        lease = forkserver.SnapshotCache.lease
+
+        def recording_lease(cache, spec, attempt, boot):
+            bed = lease(cache, spec, attempt, boot)
+            leased.setdefault(threading.get_ident(), []).append(bed)
+            return bed
+
+        monkeypatch.setattr(forkserver.SnapshotCache, "lease", recording_lease)
+
+        def run(path):
+            try:
+                with ResultStore(path) as store:
+                    barrier.wait()
+                    outcome = SerialRunner().run(specs, store=store)
+                assert not outcome.failures
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(p,)) for p in paths]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for path in paths:
+            assert parity.store_sha256(path) == entry["sha256"], path
+        first, second = ({id(bed) for bed in beds} for beds in leased.values())
+        assert len(first) == len(second) == 1  # one bed per run, restored
+        assert not first & second
 
 
 class TestForkServerPool:

@@ -84,6 +84,27 @@ class TestAllocation:
         assert machine.alloc_frame() == mfn
         assert machine.read_word(mfn, 0) == 0
 
+    def test_alloc_clears_a_free_frame_written_behind_the_allocator(self, machine):
+        # Writes to a free frame (a use-after-free) materialise it, so
+        # the allocation still clears its words and its blobs.
+        mfn = machine._free[-1]
+        machine.write_word(mfn, 3, 9)
+        machine.attach_blob(mfn, 5, "payload")
+        assert machine.alloc_frame() == mfn
+        assert machine.read_word(mfn, 3) == 0
+        assert machine.blob_at(mfn, 5) is None
+
+    def test_zero_frame_subscriber_sees_every_allocation(self, machine):
+        recorder = _Recorder()
+        machine.probes.subscribe(P.ZERO_FRAME, recorder)
+        mfns = machine.alloc_frames(3)
+        machine.write_word(mfns[0], 0, 1)
+        machine.free_frame(mfns[0])
+        assert machine.alloc_frame() == mfns[0]
+        assert recorder.events == [
+            (mfns[0],), (mfns[1],), (mfns[2],), (mfns[0],), (mfns[0],)
+        ]
+
     def test_free_then_realloc(self, machine):
         mfn = machine.alloc_frame()
         machine.free_frame(mfn)

@@ -663,6 +663,19 @@ class TestSerialRunner:
         with pytest.raises(CampaignFailed, match="1 job"):
             outcome.payloads_for([selftest("fail")])
 
+    def test_no_event_is_built_without_a_listener(self, monkeypatch):
+        def no_events(**fields):
+            raise AssertionError("built a RunnerEvent nobody listens to")
+
+        monkeypatch.setattr(ev, "RunnerEvent", no_events)
+        specs = [selftest("ok"), selftest("flaky:1"), selftest("fail")]
+        outcome = SerialRunner(retries=1).run(specs)
+        assert len(outcome.results) == 2 and len(outcome.failures) == 1
+        hub = ev.EventHub(total=3)
+        for kind in (ev.JOB_STARTED, ev.JOB_FINISHED, ev.JOB_FAILED):
+            hub.emit(kind)
+        assert hub.completed == 2
+
 
 class TestWorkerPool:
     def test_timeout_kills_worker_and_campaign_survives(self):
