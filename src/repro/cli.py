@@ -60,23 +60,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
         "fuzz campaigns; implies --jobs workers stay warm)",
     )
     group.add_argument(
-        "--batch", type=int, default=8, metavar="N",
-        help="jobs dispatched to a fork-server worker at a time",
-    )
-    group.add_argument(
-        "--recycle-after", type=int, default=256, metavar="N",
-        help="recycle a pool worker after serving N jobs",
-    )
-    group.add_argument(
-        "--heartbeat-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="worker heartbeat grace before a wedged worker is killed "
-        "(parallel runs only; default 30)",
-    )
-    group.add_argument(
-        "--backoff-cap", type=float, default=5.0, metavar="SECONDS",
-        help="ceiling on the exponential retry backoff (default 5)",
-    )
-    group.add_argument(
         "--store", metavar="PATH",
         help="persist jobs and results to a SQLite store",
     )
@@ -99,7 +82,7 @@ def _runner_from_args(args):
     """
     if args.jobs < 1:
         raise SystemExit(f"error: --jobs must be at least 1, got {args.jobs}")
-    fork_server = getattr(args, "fork_server", False)
+    fork_server = args.fork_server
     if args.resume and not os.path.exists(args.resume):
         raise SystemExit(f"error: --resume store {args.resume!r} does not exist")
     store_path = args.resume or args.store
@@ -111,11 +94,7 @@ def _runner_from_args(args):
     try:
         runner = make_runner(
             jobs=args.jobs, timeout=args.timeout, on_event=renderer,
-            max_backoff=getattr(args, "backoff_cap", 5.0),
-            liveness_grace=getattr(args, "heartbeat_timeout", 30.0),
             fork_server=fork_server,
-            batch=getattr(args, "batch", 8),
-            recycle_after=getattr(args, "recycle_after", 256),
         )
     except ValueError as exc:  # an option the pool refuses
         raise SystemExit(f"error: {exc}") from None
@@ -444,15 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock budget",
-    )
-    serve.add_argument(
-        "--heartbeat-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="worker heartbeat grace before a wedged worker is killed",
-    )
-    serve.add_argument(
-        "--backoff-cap", type=float, default=5.0, metavar="SECONDS",
-        help="ceiling on the exponential retry backoff",
+        help="per-job wall-clock budget (parallel runs only)",
     )
     serve.add_argument(
         "--ack-every", type=int, default=8, metavar="N",
@@ -1048,8 +1019,6 @@ def _cmd_serve(args) -> int:
             jobs=args.jobs,
             fork_server=args.fork_server,
             timeout=args.timeout,
-            max_backoff=args.backoff_cap,
-            liveness_grace=args.heartbeat_timeout,
             ack_every=args.ack_every,
             quota=QuotaConfig(
                 rate=args.quota_rate,

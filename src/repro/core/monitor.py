@@ -194,10 +194,8 @@ class IdtIntegrityMonitor(Monitor):
         xen = bed.xen
         evidence = []
         for cpu in range(xen.num_pcpus):
-            idt = xen.idt(cpu)
-            for vector in range(256):
-                if not idt.is_valid(vector):
-                    evidence.append(f"cpu{cpu} vector {vector}: corrupt gate")
+            for vector in xen.idt(cpu).invalid_vectors():
+                evidence.append(f"cpu{cpu} vector {vector}: corrupt gate")
         if evidence:
             return ViolationReport(
                 occurred=True, kind="IDT corruption", evidence=evidence

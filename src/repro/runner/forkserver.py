@@ -48,7 +48,7 @@ Persistent processes accumulate state and cached snapshots can rot, so:
 * every result frame carries what its job did to the worker — the
   restore-diverged records, the cache-counter delta and the peak RSS —
   so the pool counts each job exactly once and can **recycle** a
-  worker when a batch takes it to ``recycle_after`` jobs or unbounded
+  worker when a batch takes it to ``_RECYCLE_AFTER`` jobs or unbounded
   RSS growth (the same park/reboot discipline ReHype applies to the
   hypervisor itself);
 * repeated worker deaths trip the circuit breaker, and the pool then
@@ -212,9 +212,9 @@ def _forkserver_worker_main(
     plan: Sequence[JobSpec],
     inbox: Any,
     outbox: Any,
-    heartbeat: Any = None,
-    beat_interval: float = 0.2,
-    faults: Optional[Any] = None,
+    heartbeat: Any,
+    beat_interval: float,
+    faults: Optional[Any],
 ) -> None:
     """The worker loop of every pool: take a batch, stream results, repeat.
 
@@ -222,7 +222,11 @@ def _forkserver_worker_main(
     ``(plan index, attempt)``.  A ``fork``-started worker inherits the
     plan, a forkserver-started one unpickles it once at start, and
     either way each spec arrives with the job ID the parent already
-    derived, so nothing is decoded or hashed per job.
+    derived, so nothing is decoded or hashed per job.  The worker
+    writes the monotonic clock into ``heartbeat`` every
+    ``beat_interval`` seconds; the parent passes its own
+    ``_BEAT_INTERVAL``, so a forkserver-started worker, which never sees
+    the parent's module state, beats at the parent's rate.
 
     Signal discipline for *persistent* workers: SIGINT is ignored (a
     terminal Ctrl-C reaches the whole foreground process group; the
@@ -243,18 +247,15 @@ def _forkserver_worker_main(
     # its snapshot cache and counters.  Start from a clean slate.
     _reset_worker_cache(faults)
     parent_pid = os.getppid()
-    if heartbeat is not None:
 
-        def _beat() -> None:
-            while True:
-                heartbeat.value = time.monotonic()
-                if os.getppid() != parent_pid:
-                    os._exit(0)  # parent died; do not outlive it
-                time.sleep(beat_interval)
+    def _beat() -> None:
+        while True:
+            heartbeat.value = time.monotonic()
+            if os.getppid() != parent_pid:
+                os._exit(0)  # parent died; do not outlive it
+            time.sleep(beat_interval)
 
-        threading.Thread(
-            target=_beat, daemon=True, name="repro-heartbeat"
-        ).start()
+    threading.Thread(target=_beat, daemon=True, name="repro-heartbeat").start()
     try:
         outbox.put((worker_id, None, "ready", None, False, 0.0, None))
     except OSError:

@@ -46,7 +46,7 @@ properties the serial campaign loop cannot offer:
 * **circuit breaking** — too many *consecutive* worker deaths (an
   environment-level problem, not a bad job) halts the campaign, or
   degrades a fork-server run to the spawn configuration;
-* **recycling** — a worker is replaced after ``recycle_after`` jobs or
+* **recycling** — a worker is replaced after ``_RECYCLE_AFTER`` jobs or
   unbounded RSS growth;
 * **graceful interruption** — SIGINT/SIGTERM stop dispatch, flush the
   store, and leave it resumable instead of dying mid-write.
@@ -209,6 +209,15 @@ class _SignalGuard:
 #: identical results.
 _COMMIT_INTERVAL = 0.05
 
+#: Base of the pool's retry backoff (seconds): retry k waits about
+#: ``_BACKOFF * 2 ** (k - 1)`` (see
+#: :func:`~repro.runner.backoff.seeded_backoff`).
+_BACKOFF = 0.05
+#: The serial runner's backoff base: it retries at once.
+_SERIAL_BACKOFF = 0.0
+#: Ceiling on any retry backoff (seconds).
+_MAX_BACKOFF = 5.0
+
 
 class _Ledger:
     """One run's books: the only code that writes job transitions.
@@ -233,7 +242,6 @@ class _Ledger:
         on_event: Optional[EventCallback],
         retries: int,
         backoff: float,
-        max_backoff: float,
     ):
         self.specs = list(specs)
         self.store = store
@@ -241,7 +249,6 @@ class _Ledger:
         self.hub = EventHub(total=len(self.specs), callback=on_event)
         self.retries = retries
         self.backoff = backoff
-        self.max_backoff = max_backoff
         #: The plan indices of the jobs this run still has to execute,
         #: in plan order.
         self.remaining = list(range(len(self.specs)))
@@ -321,7 +328,7 @@ class _Ledger:
         """The backoff before the next attempt, or None once failed."""
         if retryable and attempt < self.retries:
             delay = seeded_backoff(
-                self.backoff, attempt + 1, spec.job_id, self.max_backoff
+                self.backoff, attempt + 1, spec.job_id, _MAX_BACKOFF
             )
             self._emit(
                 ev.JOB_RETRIED, spec, attempt + 1, detail=detail, delay=delay
@@ -358,15 +365,11 @@ class _Runner:
 
     def __init__(
         self,
-        retries: int,
-        backoff: float,
-        max_backoff: float,
-        job_fn: Optional[JobFn],
-        on_event: Optional[EventCallback],
+        retries: int = 1,
+        job_fn: Optional[JobFn] = None,
+        on_event: Optional[EventCallback] = None,
     ):
         self.retries = retries
-        self.backoff = backoff
-        self.max_backoff = max_backoff
         self.job_fn = job_fn
         self.on_event = on_event
         self._stop_requested = False
@@ -393,8 +396,7 @@ class _Runner:
         self, specs: Sequence[JobSpec], store: Optional[ResultStore] = None
     ) -> RunnerOutcome:
         books = _Ledger(
-            specs, store, self.on_event, self.retries, self.backoff,
-            self.max_backoff,
+            specs, store, self.on_event, self.retries, self._backoff()
         )
         # The guard goes up before the first worker exists, so an
         # interrupt during spawn is already a graceful shutdown.
@@ -413,6 +415,10 @@ class _Runner:
         return books.close(interrupt)
 
     def _execute(self, books: _Ledger, stopped: Callable[[], bool]) -> None:
+        raise NotImplementedError
+
+    def _backoff(self) -> float:
+        """This engine's retry backoff base, read when a run starts."""
         raise NotImplementedError
 
     def _count(self, key: str, n: int = 1) -> None:
@@ -464,15 +470,8 @@ class SerialRunner(_Runner):
     point's own closure) runs as given, with no cache.
     """
 
-    def __init__(
-        self,
-        retries: int = 1,
-        backoff: float = 0.0,
-        max_backoff: float = 5.0,
-        job_fn: Optional[JobFn] = None,
-        on_event: Optional[EventCallback] = None,
-    ):
-        super().__init__(retries, backoff, max_backoff, job_fn, on_event)
+    def _backoff(self) -> float:
+        return _SERIAL_BACKOFF
 
     def _execute(self, books: _Ledger, stopped: Callable[[], bool]) -> None:
         from repro.runner.forkserver import SnapshotCache
@@ -535,9 +534,16 @@ _BOOT_GRACE = 30.0
 _SHUTDOWN_GRACE = 5.0
 
 #: Jobs shipped to a fork-server worker per dispatch.
-DEFAULT_BATCH = 8
+_BATCH = 8
 #: Jobs a worker serves before it is recycled.
-DEFAULT_RECYCLE_AFTER = 256
+_RECYCLE_AFTER = 256
+#: Worker deaths under one job before the job is quarantined.
+_POISON_THRESHOLD = 3
+#: Heartbeat silence (seconds) after which a busy worker counts as
+#: wedged; a worker that has not reported ready gets ``_BOOT_GRACE``.
+_LIVENESS_GRACE = 30.0
+#: Seconds between two heartbeats of a worker.
+_BEAT_INTERVAL = 0.2
 #: Peak-RSS growth over a worker's first batch (KiB) that triggers
 #: recycling — a leaking worker is parked before it hurts the host.
 _MAX_RSS_GROWTH_KB = 262144
@@ -672,7 +678,7 @@ class WorkerPool(_Runner):
       and run :func:`~repro.runner.jobs.execute_job` on a fresh testbed;
     * **fork-server**: workers fork from this process (the ``fork``
       context) after it imported
-      :data:`~repro.runner.jobs.WORKER_PRELOAD`, take ``batch`` jobs
+      :data:`~repro.runner.jobs.WORKER_PRELOAD`, take ``_BATCH`` jobs
       per dispatch and run
       :func:`~repro.runner.forkserver.execute_job_cached`, which serves
       matrix cells and classic fuzz trials from a verified
@@ -686,6 +692,13 @@ class WorkerPool(_Runner):
     tracker.  A circuit that opens in the spawn configuration fails
     everything left.  An explicit ``job_fn`` is used in both
     configurations.
+
+    ``timeout`` is each job's wall-clock budget (None: no budget) and
+    ``circuit_threshold`` the consecutive worker deaths that open the
+    circuit.  Batch size, recycling, quarantine, heartbeat and backoff
+    are module constants (``_BATCH``, ``_RECYCLE_AFTER``,
+    ``_POISON_THRESHOLD``, ``_LIVENESS_GRACE``, ``_BEAT_INTERVAL``,
+    ``_BACKOFF``, ``_MAX_BACKOFF``), read when a run or pass needs them.
     """
 
     def __init__(
@@ -693,42 +706,24 @@ class WorkerPool(_Runner):
         jobs: int = 2,
         timeout: Optional[float] = None,
         retries: int = 1,
-        backoff: float = 0.05,
-        max_backoff: float = 5.0,
         job_fn: Optional[JobFn] = None,
         on_event: Optional[EventCallback] = None,
-        poison_threshold: int = 3,
         circuit_threshold: int = 8,
-        liveness_grace: Optional[float] = 30.0,
-        beat_interval: float = 0.2,
         fork_server: bool = False,
-        batch: int = DEFAULT_BATCH,
-        recycle_after: int = DEFAULT_RECYCLE_AFTER,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if recycle_after < 1:
-            raise ValueError("recycle_after must be >= 1")
-        # None disables either budget; a non-positive one would fail
-        # every job it watches.
+        # None disables the budget; a non-positive one would fail every
+        # job it watches.
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
-        if liveness_grace is not None and liveness_grace <= 0:
-            raise ValueError(f"liveness_grace must be > 0, got {liveness_grace}")
-        super().__init__(retries, backoff, max_backoff, job_fn, on_event)
+        super().__init__(retries, job_fn, on_event)
         self.jobs = jobs
         self.timeout = timeout
-        self.poison_threshold = poison_threshold
         self.circuit_threshold = circuit_threshold
-        self.liveness_grace = liveness_grace
-        self.beat_interval = beat_interval
         self.fork_server = fork_server
-        self.batch = batch
-        self.recycle_after = recycle_after
         self._configure(fork_server)
-        self._poison = PoisonTracker(poison_threshold)
+        self._poison = PoisonTracker(_POISON_THRESHOLD)
         self._circuit = CircuitBreaker(circuit_threshold)
         self._halted = ""
 
@@ -750,6 +745,9 @@ class WorkerPool(_Runner):
         return None
 
     # -- run ------------------------------------------------------------
+
+    def _backoff(self) -> float:
+        return _BACKOFF
 
     def _execute(self, books: _Ledger, stopped: Callable[[], bool]) -> None:
         self.stats = {}
@@ -800,7 +798,7 @@ class WorkerPool(_Runner):
             for module in WORKER_PRELOAD:
                 importlib.import_module(module)
             self._ctx = multiprocessing.get_context(preferred_context())
-            self._batch = self.batch
+            self._batch = _BATCH
             self._job_fn = self.job_fn or execute_job_cached
         else:
             self._ctx = pool_context()
@@ -821,7 +819,7 @@ class WorkerPool(_Runner):
         work and ``--resume`` picks them up exactly.
         """
         self._configure(fork_server)
-        self._poison = PoisonTracker(self.poison_threshold)
+        self._poison = PoisonTracker(_POISON_THRESHOLD)
         self._circuit = CircuitBreaker(self.circuit_threshold)
         self._halted = ""
 
@@ -864,7 +862,7 @@ class WorkerPool(_Runner):
             args=(
                 worker_id, self._job_fn, plan, inbox_r,
                 self._wrap_outbox(_ResultChannel(result_w)), heartbeat,
-                self.beat_interval, self._worker_faults(),
+                _BEAT_INTERVAL, self._worker_faults(),
             ),
             daemon=True,
             name=f"repro-runner-{worker_id}",
@@ -1002,16 +1000,16 @@ class WorkerPool(_Runner):
         """Retire a worker whose batch just ended, if it is due.
 
         Called when the batch's last member is acked, before the next
-        ``_assign``, so a worker serves at most ``recycle_after +
-        batch - 1`` jobs and every job it served is already counted.
+        ``_assign``, so a worker serves at most ``_RECYCLE_AFTER +
+        _BATCH - 1`` jobs and every job it served is already counted.
         """
         if worker.baseline_rss == 0:
             worker.baseline_rss = rss
         grown = rss - worker.baseline_rss
-        if worker.served >= self.recycle_after:
+        if worker.served >= _RECYCLE_AFTER:
             reason = (
                 f"served {worker.served} jobs "
-                f"(recycle_after {self.recycle_after})"
+                f"(recycle_after {_RECYCLE_AFTER})"
             )
         elif grown > _MAX_RSS_GROWTH_KB:
             reason = (
@@ -1039,7 +1037,7 @@ class WorkerPool(_Runner):
         A worker is judged on the first of, in order: its current
         member overran the wall-clock ``timeout`` (counted only once
         the worker is ready — boot time is not the job's); its
-        heartbeat went stale for longer than ``liveness_grace``, which
+        heartbeat went stale for longer than ``_LIVENESS_GRACE``, which
         catches a SIGSTOPped or deadlocked process ``is_alive()``
         still vouches for (a still-booting interpreter has not started
         its beat thread, so it gets the boot allowance instead); its
@@ -1050,8 +1048,8 @@ class WorkerPool(_Runner):
         now = time.monotonic()
         for worker in list(workers.values()):
             alive = worker.process.is_alive()
-            grace = self.liveness_grace
-            if grace is not None and not worker.ready:
+            grace = _LIVENESS_GRACE
+            if not worker.ready:
                 grace = max(grace, _BOOT_GRACE)
             stale = now - worker.last_seen()
             if (
@@ -1060,7 +1058,7 @@ class WorkerPool(_Runner):
             ):
                 event, status, wall = ev.JOB_TIMEOUT, "timeout", self.timeout
                 detail = f"exceeded {self.timeout:.1f}s wall-clock budget"
-            elif worker.busy and alive and grace is not None and stale > grace:
+            elif worker.busy and alive and stale > grace:
                 event, status, wall = ev.WORKER_UNRESPONSIVE, "unresponsive", None
                 detail = f"no heartbeat for {stale:.1f}s (grace {grace:.1f}s)"
             elif not alive:
@@ -1163,13 +1161,8 @@ def make_runner(
     retries: int = 1,
     job_fn: Optional[JobFn] = None,
     on_event: Optional[EventCallback] = None,
-    max_backoff: float = 5.0,
-    poison_threshold: int = 3,
     circuit_threshold: int = 8,
-    liveness_grace: Optional[float] = 30.0,
     fork_server: bool = False,
-    batch: int = DEFAULT_BATCH,
-    recycle_after: int = DEFAULT_RECYCLE_AFTER,
 ) -> Runner:
     """A SerialRunner for ``jobs=1``, a WorkerPool otherwise.
 
@@ -1177,21 +1170,18 @@ def make_runner(
     any job count.  ``job_fn=None`` runs each engine's own executor:
     :func:`~repro.runner.jobs.execute_job` on the run's own snapshot
     cache for the serial runner, on a fresh boot per job for the spawn
-    pool, and on each worker's cache for the fork-server pool.
+    pool, and on each worker's cache for the fork-server pool.  The
+    serial runner takes only ``retries``, ``job_fn`` and ``on_event``:
+    it enforces no ``timeout`` and has no workers to break a circuit.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs == 1 and not fork_server:
-        return SerialRunner(
-            retries=retries, max_backoff=max_backoff,
-            job_fn=job_fn, on_event=on_event,
-        )
+        return SerialRunner(retries=retries, job_fn=job_fn, on_event=on_event)
     return WorkerPool(
-        jobs=jobs, timeout=timeout, retries=retries,
-        max_backoff=max_backoff, job_fn=job_fn, on_event=on_event,
-        poison_threshold=poison_threshold,
-        circuit_threshold=circuit_threshold, liveness_grace=liveness_grace,
-        fork_server=fork_server, batch=batch, recycle_after=recycle_after,
+        jobs=jobs, timeout=timeout, retries=retries, job_fn=job_fn,
+        on_event=on_event, circuit_threshold=circuit_threshold,
+        fork_server=fork_server,
     )
 
 

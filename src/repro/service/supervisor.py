@@ -71,11 +71,6 @@ class ServiceConfig:
     fork_server: bool = False
     timeout: Optional[float] = None
     retries: int = 1
-    max_backoff: float = 5.0
-    #: Heartbeat grace before a worker counts as wedged.
-    liveness_grace: Optional[float] = 30.0
-    #: Fork-server dispatch batch size.
-    batch: int = 8
     #: Journal a batch ack every this many completed jobs.
     ack_every: int = 8
     #: Consecutive worker deaths before the circuit opens.
@@ -100,11 +95,8 @@ class ServiceConfig:
             jobs=self.jobs,
             timeout=self.timeout,
             retries=self.retries,
-            max_backoff=self.max_backoff,
             circuit_threshold=self.circuit_threshold,
-            liveness_grace=self.liveness_grace,
             fork_server=self.fork_server,
-            batch=self.batch,
         )
         if fallback:
             options.update(
@@ -450,20 +442,22 @@ class Supervisor:
                 self._ack(record, store)
                 return jn.INTERRUPTED, outcome.interrupt_signal or "stopped"
             tripped = self._circuit.get(cid, "")
-            if not tripped or degrades >= _DEGRADE_LIMIT:
+            if not tripped:
                 break
-            # A fork-server pool may already have degraded and
-            # finished most jobs itself: fall back over the rest.
-            done = store.completed_ids()
-            todo = [spec for spec in specs if spec.job_id not in done]
-            if not todo:
-                break
-            degrades += 1
+            # Every pass that opened the circuit marks the campaign,
+            # whether or not a fallback pass follows.
             record.degraded = True
             record.detail = tripped
             self.journal.append("degraded", id=cid, detail=tripped)
             self.registry.upsert(record)
             self._emit(record, ev.CAMPAIGN_DEGRADED, detail=tripped)
+            # A fork-server pool may already have degraded and
+            # finished most jobs itself: fall back over the rest.
+            done = store.completed_ids()
+            todo = [spec for spec in specs if spec.job_id not in done]
+            if not todo or degrades >= _DEGRADE_LIMIT:
+                break
+            degrades += 1
             fallback = True
 
         self._ack(record, store)

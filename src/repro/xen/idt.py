@@ -15,7 +15,7 @@ fully valid gate, which is what XSA-212-priv does.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MachineError
 from repro.xen.constants import IDT_PRESENT_BIT, IDT_VECTORS
@@ -102,3 +102,16 @@ class IDT:
 
     def is_valid(self, vector: int) -> bool:
         return self.handler(vector) is not None
+
+    def invalid_vectors(self) -> List[int]:
+        """Every vector whose gate does not decode, in vector order,
+        from one read of the whole table.
+
+        Equal to ``[v for v in range(IDT_VECTORS) if not is_valid(v)]``.
+        """
+        words = self.machine.read_words(self.mfn, 0, 2 * IDT_VECTORS)
+        return [
+            vector
+            for vector, gate in enumerate(zip(words[0::2], words[1::2]))
+            if decode_gate(*gate) is None
+        ]

@@ -17,8 +17,9 @@ accepts) and runs, expanded by
 :func:`~repro.service.plans.expand_plan`, through five engines:
 
 * ``serial``, ``spawn`` and ``fork-server`` (batches of 2, workers
-  recycled after 3 jobs) write an on-disk result store; the digest is
-  the sha256 of its :func:`~repro.service.shards.compact` output;
+  recycled after 3 jobs, see :data:`TUNING`) write an on-disk result
+  store; the digest is the sha256 of its
+  :func:`~repro.service.shards.compact` output;
 * ``service`` and ``service-fork-server`` are an in-process
   :class:`~repro.service.Supervisor` taking the plan as a submission;
   the digest is the sha256 of the compacted data directory.
@@ -39,33 +40,42 @@ runtime check.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import pathlib
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterator
 
 from repro.runner import ResultStore, SerialRunner, WorkerPool
+from repro.runner import pool as pool_module
 from repro.service import ServiceConfig, Supervisor, compact_data_dir
 from repro.service.plans import canonical_plan, expand_plan
 from repro.service.shards import compact
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "parity_digests.json"
 
-#: The fork-server options every parity run uses: small batches and
-#: early recycling put batch boundaries and worker restarts inside
-#: even the smallest plan.
-FORK_SERVER = dict(jobs=2, fork_server=True, batch=2, recycle_after=3)
+#: The pool constants every fork-server parity run patches: small
+#: batches and early recycling put batch boundaries and worker
+#: restarts inside even the smallest plan.
+FORK_SERVER = dict(_BATCH=2, _RECYCLE_AFTER=3)
 
 RUNNERS: Dict[str, Callable[[], object]] = {
     "serial": SerialRunner,
     "spawn": lambda: WorkerPool(jobs=2),
-    "fork-server": lambda: WorkerPool(**FORK_SERVER),
+    "fork-server": lambda: WorkerPool(jobs=2, fork_server=True),
 }
 
 SERVICES: Dict[str, dict] = {
     "service": dict(jobs=2),
-    "service-fork-server": dict(jobs=2, fork_server=True, batch=2),
+    "service-fork-server": dict(jobs=2, fork_server=True),
+}
+
+#: The ``repro.runner.pool`` constants each engine runs under; the
+#: service's fork-server pool takes small batches only.
+TUNING: Dict[str, Dict[str, object]] = {
+    "fork-server": FORK_SERVER,
+    "service-fork-server": dict(_BATCH=2),
 }
 
 COVERAGE_RUNNERS: Dict[str, Callable[[], object]] = {
@@ -76,6 +86,21 @@ COVERAGE_RUNNERS: Dict[str, Callable[[], object]] = {
 
 #: Longest a service run may take before the oracle gives up on it.
 _SERVICE_TIMEOUT = 300.0
+
+
+@contextlib.contextmanager
+def tuned(constants: Dict[str, object]) -> Iterator[None]:
+    """Set ``repro.runner.pool`` constants for the block, then restore
+    them.  The pool reads them when a run needs them, so a runner built
+    inside or outside the block runs under the patched values."""
+    saved = {name: getattr(pool_module, name) for name in constants}
+    for name, value in constants.items():
+        setattr(pool_module, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(pool_module, name, value)
 
 
 def load_golden() -> Dict[str, dict]:
@@ -106,12 +131,15 @@ def digests(plan: dict, work_dir: str) -> Dict[str, str]:
     found = {}
     for engine, make in RUNNERS.items():
         path = os.path.join(work_dir, f"{engine}.sqlite")
-        with ResultStore(path) as store:
+        with ResultStore(path) as store, tuned(TUNING.get(engine, {})):
             outcome = make().run(specs, store=store)
         assert not outcome.failures, (engine, outcome.failures)
         found[engine] = store_sha256(path)
     for engine, options in SERVICES.items():
-        found[engine] = _service_digest(plan, os.path.join(work_dir, engine), options)
+        with tuned(TUNING.get(engine, {})):
+            found[engine] = _service_digest(
+                plan, os.path.join(work_dir, engine), options
+            )
     return found
 
 
@@ -139,8 +167,10 @@ def _coverage_digests(plan: dict) -> Dict[str, str]:
         campaign = CoverageFuzzCampaign(
             version_by_name(plan["version"]), corpus, root_seed=plan["seed"]
         )
-        report = campaign.run(
-            rounds=plan["rounds"], trials_per_round=plan["trials"], runner=make()
-        )
+        with tuned(TUNING.get(engine, {})):
+            report = campaign.run(
+                rounds=plan["rounds"], trials_per_round=plan["trials"],
+                runner=make(),
+            )
         found[engine] = hashlib.sha256(report_json(report).encode()).hexdigest()
     return found

@@ -38,6 +38,7 @@ from repro.runner import (
     plan_fuzz,
 )
 from repro.runner import events as ev
+from repro.runner import pool as pool_module
 from repro.runner.pool import RunnerOutcome, _ResultChannel, _Worker
 
 
@@ -202,12 +203,13 @@ class TestForkServerChaosInvariant:
 
 
 class TestPoisonQuarantine:
-    def test_poisonous_job_is_quarantined_not_retried_forever(self):
+    def test_poisonous_job_is_quarantined_not_retried_forever(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "_BACKOFF", 0.0)
+        monkeypatch.setattr(pool_module, "_POISON_THRESHOLD", 2)
         recorder = EventRecorder()
-        pool = WorkerPool(
-            jobs=2, retries=5, backoff=0.0, poison_threshold=2,
-            on_event=recorder,
-        )
+        pool = WorkerPool(jobs=2, retries=5, on_event=recorder)
         specs = [selftest("crash"), selftest("ok"), selftest("ok:2")]
         outcome = pool.run(specs)
         assert "quarantined" in outcome.failures[specs[0].job_id]
@@ -219,20 +221,21 @@ class TestPoisonQuarantine:
         assert crashes == 2
         assert no_orphans()
 
-    def test_quarantine_recorded_in_store(self, tmp_path):
+    def test_quarantine_recorded_in_store(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pool_module, "_BACKOFF", 0.0)
+        monkeypatch.setattr(pool_module, "_POISON_THRESHOLD", 2)
         spec = selftest("crash")
         with ResultStore(str(tmp_path / "q.sqlite")) as store:
-            WorkerPool(jobs=1, retries=5, backoff=0.0,
-                       poison_threshold=2).run([spec], store=store)
+            WorkerPool(jobs=1, retries=5).run([spec], store=store)
             assert store.summary().failed == 1
 
 
 class TestCircuitBreaker:
-    def test_consecutive_deaths_halt_the_campaign(self):
+    def test_consecutive_deaths_halt_the_campaign(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_POISON_THRESHOLD", 99)
         recorder = EventRecorder()
         pool = WorkerPool(
-            jobs=1, retries=0, poison_threshold=99, circuit_threshold=2,
-            on_event=recorder,
+            jobs=1, retries=0, circuit_threshold=2, on_event=recorder,
         )
         specs = [selftest("crash"), selftest("crash:b"), selftest("ok")]
         outcome = pool.run(specs)
@@ -242,9 +245,9 @@ class TestCircuitBreaker:
         assert "circuit breaker open" in outcome.failures[specs[2].job_id]
         assert no_orphans()
 
-    def test_successes_keep_the_circuit_closed(self):
-        pool = WorkerPool(jobs=1, retries=0, poison_threshold=99,
-                          circuit_threshold=2)
+    def test_successes_keep_the_circuit_closed(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_POISON_THRESHOLD", 99)
+        pool = WorkerPool(jobs=1, retries=0, circuit_threshold=2)
         specs = [selftest("crash"), selftest("ok"),
                  selftest("crash:b"), selftest("ok:2")]
         outcome = pool.run(specs)
@@ -300,12 +303,11 @@ class TestResultTransport:
 
 
 class TestHeartbeatLiveness:
-    def test_wedged_worker_is_detected_and_replaced(self):
+    def test_wedged_worker_is_detected_and_replaced(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_LIVENESS_GRACE", 1.0)
+        monkeypatch.setattr(pool_module, "_BEAT_INTERVAL", 0.1)
         recorder = EventRecorder()
-        pool = WorkerPool(
-            jobs=1, retries=0, liveness_grace=1.0, beat_interval=0.1,
-            on_event=recorder,
-        )
+        pool = WorkerPool(jobs=1, retries=0, on_event=recorder)
         spec = selftest("stop")  # SIGSTOPs itself: alive but silent
         outcome = pool.run([spec, selftest("ok")])
         assert ev.WORKER_UNRESPONSIVE in recorder.kinds()

@@ -202,10 +202,7 @@ class TestPoolOptionErrors:
         "flag, value, named",
         [
             ("--jobs", "0", "--jobs"),
-            ("--batch", "0", "batch"),
-            ("--recycle-after", "0", "recycle_after"),
             ("--timeout", "-1", "timeout"),
-            ("--heartbeat-timeout", "-1", "liveness_grace"),
         ],
     )
     def test_fuzz_exits_cleanly(self, flag, value, named):
@@ -218,7 +215,6 @@ class TestPoolOptionErrors:
         [
             ("--jobs", "0", "jobs"),
             ("--timeout", "-1", "timeout"),
-            ("--heartbeat-timeout", "-1", "liveness_grace"),
         ],
     )
     def test_serve_exits_before_binding(

@@ -484,10 +484,11 @@ class TestSerialSnapshotCache:
 
 
 class TestForkServerPool:
-    def test_fuzz_parity_with_serial(self):
+    def test_fuzz_parity_with_serial(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_BATCH", 3)
         specs = plan_fuzz("4.13", ["idt", "m2p"], 4, 20230701)
         reference = SerialRunner().run(specs)
-        pool = ForkServerPool(jobs=2, batch=3)
+        pool = ForkServerPool(jobs=2)
         outcome = pool.run(specs)
         assert not outcome.failures
         for spec in specs:
@@ -500,14 +501,15 @@ class TestForkServerPool:
         assert served == len(specs)
         assert no_orphans()
 
-    def test_final_batches_count_every_trial(self):
+    def test_final_batches_count_every_trial(self, monkeypatch):
         """Every trial's restore or capture is counted before ``run``
         returns, however the final batches land relative to each other:
         the counters ride on the results, so the last result of a run
         carries the last counters."""
         for round_ in range(20):
             specs = plan_fuzz("4.13", ["idt", "m2p"], 3, 20230701 + round_)
-            pool = ForkServerPool(jobs=2, batch=1 + round_ % 3)
+            monkeypatch.setattr(pool_module, "_BATCH", 1 + round_ % 3)
+            pool = ForkServerPool(jobs=2)
             outcome = pool.run(specs)
             assert not outcome.failures
             served = pool.stats.get("forkserver.restores", 0) + pool.stats.get(
@@ -516,21 +518,20 @@ class TestForkServerPool:
             assert served == len(specs), (round_, pool.stats)
         assert no_orphans()
 
-    def test_recycled_workers_account_every_batch(self):
+    def test_recycled_workers_account_every_batch(self, monkeypatch):
         """A worker is retired when the batch that takes it to
-        ``recycle_after`` trials is acked, before it gets another: no
-        counters are lost, no worker serves more than ``recycle_after
-        + batch - 1`` trials, and every worker that served
-        ``recycle_after`` trials is recycled exactly once."""
+        ``_RECYCLE_AFTER`` trials is acked, before it gets another: no
+        counters are lost, no worker serves more than ``_RECYCLE_AFTER
+        + _BATCH - 1`` trials, and every worker that served
+        ``_RECYCLE_AFTER`` trials is recycled exactly once."""
         for round_ in range(24):
             recycle_after = 2 + round_ % 3
             batch = 2 + round_ % 2
+            monkeypatch.setattr(pool_module, "_RECYCLE_AFTER", recycle_after)
+            monkeypatch.setattr(pool_module, "_BATCH", batch)
             specs = plan_fuzz("4.13", ["idt", "m2p"], 5, 20231101 + round_)
             recorder = EventRecorder()
-            pool = ForkServerPool(
-                jobs=2, batch=batch, recycle_after=recycle_after,
-                on_event=recorder,
-            )
+            pool = ForkServerPool(jobs=2, on_event=recorder)
             outcome = pool.run(specs)
             assert not outcome.failures
             served = pool.stats.get("forkserver.restores", 0) + pool.stats.get(
@@ -556,7 +557,7 @@ class TestForkServerPool:
         members it finished, with their results."""
         trials = plan_fuzz("4.13", ["idt", "m2p"], 3, 20230701)
         specs = trials[:3] + [selftest("crash-until:1", "x")] + trials[3:]
-        pool = ForkServerPool(jobs=1, batch=8, retries=1)
+        pool = ForkServerPool(jobs=1, retries=1)
         outcome = pool.run(specs)
         assert not outcome.failures
         served = pool.stats.get("forkserver.restores", 0) + pool.stats.get(
@@ -565,7 +566,7 @@ class TestForkServerPool:
         assert served == 6, pool.stats
         assert no_orphans()
 
-    def test_duplicated_frames_count_once(self):
+    def test_duplicated_frames_count_once(self, monkeypatch):
         """Every result frame is delivered twice: each copy carries the
         same counters and infra records, and only the acked copy's are
         applied."""
@@ -575,9 +576,9 @@ class TestForkServerPool:
         )
         specs = plan_fuzz("4.13", ["idt", "m2p"], 6, 777)
         recorder = EventRecorder()
+        monkeypatch.setattr(pool_module, "_BATCH", 3)
         pool = ChaosPool(
-            plan, fork_server=True, jobs=2, batch=3, retries=0,
-            on_event=recorder,
+            plan, fork_server=True, jobs=2, retries=0, on_event=recorder,
         )
         outcome = pool.run(specs)
         assert not outcome.failures
@@ -595,17 +596,16 @@ class TestForkServerPool:
         assert diverged == pool.stats["forkserver.restore.diverged"]
         assert no_orphans()
 
-    def test_crash_mid_batch_salvages_streamed_results(self):
+    def test_crash_mid_batch_salvages_streamed_results(self, monkeypatch):
         recorder = EventRecorder()
         specs = (
             [selftest("ok", f"a{i}") for i in range(3)]
             + [selftest("crash", "x")]
             + [selftest("ok", f"b{i}") for i in range(3)]
         )
-        pool = ForkServerPool(
-            jobs=1, batch=len(specs), retries=0, poison_threshold=99,
-            on_event=recorder,
-        )
+        monkeypatch.setattr(pool_module, "_BATCH", len(specs))
+        monkeypatch.setattr(pool_module, "_POISON_THRESHOLD", 99)
+        pool = ForkServerPool(jobs=1, retries=0, on_event=recorder)
         outcome = pool.run(specs)
         # members before the crash completed; members after it were
         # re-queued onto the replacement worker and completed too
@@ -614,15 +614,18 @@ class TestForkServerPool:
         assert ev.WORKER_CRASHED in recorder.kinds()
         assert no_orphans()
 
-    def test_timeout_mid_batch_charges_only_the_stuck_member(self):
+    def test_timeout_mid_batch_charges_only_the_stuck_member(
+        self, monkeypatch
+    ):
         recorder = EventRecorder()
         specs = [
             selftest("ok", "t1"), selftest("hang:60", "t2"),
             selftest("ok", "t3"),
         ]
+        monkeypatch.setattr(pool_module, "_BATCH", 3)
+        monkeypatch.setattr(pool_module, "_POISON_THRESHOLD", 99)
         pool = ForkServerPool(
-            jobs=1, batch=3, timeout=1.0, retries=0, poison_threshold=99,
-            on_event=recorder,
+            jobs=1, timeout=1.0, retries=0, on_event=recorder,
         )
         outcome = pool.run(specs)
         assert set(outcome.failures) == {specs[1].job_id}
@@ -630,12 +633,12 @@ class TestForkServerPool:
         assert ev.JOB_TIMEOUT in recorder.kinds()
         assert no_orphans()
 
-    def test_workers_recycled_after_serving_limit(self):
+    def test_workers_recycled_after_serving_limit(self, monkeypatch):
         recorder = EventRecorder()
         specs = [selftest("ok", f"r{i}") for i in range(10)]
-        pool = ForkServerPool(
-            jobs=1, batch=2, recycle_after=4, on_event=recorder
-        )
+        monkeypatch.setattr(pool_module, "_BATCH", 2)
+        monkeypatch.setattr(pool_module, "_RECYCLE_AFTER", 4)
+        pool = ForkServerPool(jobs=1, on_event=recorder)
         outcome = pool.run(specs)
         assert not outcome.failures and len(outcome.results) == 10
         assert ev.WORKER_RECYCLED in recorder.kinds()
@@ -644,11 +647,12 @@ class TestForkServerPool:
         assert len({p["pid"] for p in outcome.results.values()}) >= 2
         assert no_orphans()
 
-    def test_restore_divergence_evicts_and_stays_correct(self):
+    def test_restore_divergence_evicts_and_stays_correct(self, monkeypatch):
         recorder = EventRecorder()
         specs = plan_fuzz("4.13", ["idt"], 6, 20230701)
         reference = SerialRunner().run(specs)
-        pool = _RottenCachePool(jobs=1, batch=2, on_event=recorder)
+        monkeypatch.setattr(pool_module, "_BATCH", 2)
+        pool = _RottenCachePool(jobs=1, on_event=recorder)
         outcome = pool.run(specs)
         assert not outcome.failures
         for spec in specs:
@@ -658,14 +662,15 @@ class TestForkServerPool:
         assert pool.stats["forkserver.cold_boots"] > 0
         assert no_orphans()
 
-    def test_circuit_open_degrades_to_spawn_pool(self):
+    def test_circuit_open_degrades_to_spawn_pool(self, monkeypatch):
         recorder = EventRecorder()
         specs = [selftest("crash", f"c{i}") for i in range(4)] + [
             selftest("ok", f"d{i}") for i in range(4)
         ]
+        monkeypatch.setattr(pool_module, "_BATCH", 1)
+        monkeypatch.setattr(pool_module, "_POISON_THRESHOLD", 99)
         pool = ForkServerPool(
-            jobs=2, batch=1, retries=0, poison_threshold=99,
-            circuit_threshold=3, on_event=recorder,
+            jobs=2, retries=0, circuit_threshold=3, on_event=recorder,
         )
         outcome = pool.run(specs)
         assert ev.POOL_DEGRADED in recorder.kinds()
@@ -688,7 +693,7 @@ class TestForkServerPool:
         assert all(e.total == len(specs) for e in job_events)
         assert no_orphans()
 
-    def test_degraded_pass_keeps_each_jobs_attempt(self, tmp_path):
+    def test_degraded_pass_keeps_each_jobs_attempt(self, tmp_path, monkeypatch):
         """The jobs that opened the circuit resume at their next attempt
         in the degraded pass: the crashers succeed on attempt 1, every
         job is done, and no (job_id, attempt) row repeats."""
@@ -697,10 +702,11 @@ class TestForkServerPool:
         ]
         path = str(tmp_path / "degrade.sqlite")
         recorder = EventRecorder()
+        monkeypatch.setattr(pool_module, "_BATCH", 1)
+        monkeypatch.setattr(pool_module, "_POISON_THRESHOLD", 99)
         with ResultStore(path) as store:
             outcome = ForkServerPool(
-                jobs=1, batch=1, retries=1, circuit_threshold=2,
-                poison_threshold=99, on_event=recorder,
+                jobs=1, retries=1, circuit_threshold=2, on_event=recorder,
             ).run(specs, store=store)
             assert store.summary().done == len(specs), outcome.failures
         assert ev.POOL_DEGRADED in recorder.kinds()
@@ -710,30 +716,31 @@ class TestForkServerPool:
         assert len(rows) == len(set(rows)), Counter(rows)
         assert no_orphans()
 
-    def test_spawn_configuration_fails_fast_on_open_circuit(self):
+    def test_spawn_configuration_fails_fast_on_open_circuit(self, monkeypatch):
         recorder = EventRecorder()
         specs = [selftest("crash", f"c{i}") for i in range(3)] + [
             selftest("ok", "tail")
         ]
+        monkeypatch.setattr(pool_module, "_POISON_THRESHOLD", 99)
         pool = WorkerPool(
-            jobs=1, retries=0, poison_threshold=99, circuit_threshold=2,
-            on_event=recorder,
+            jobs=1, retries=0, circuit_threshold=2, on_event=recorder,
         )
         outcome = pool.run(specs)
         assert ev.POOL_DEGRADED not in recorder.kinds()
         assert specs[-1].job_id in outcome.failures
         assert no_orphans()
 
-    def test_resume_skips_completed_jobs(self, tmp_path):
+    def test_resume_skips_completed_jobs(self, tmp_path, monkeypatch):
         specs = [selftest("ok", f"s{i}") for i in range(6)]
         path = str(tmp_path / "fs.sqlite")
+        monkeypatch.setattr(pool_module, "_BATCH", 2)
         with ResultStore(path) as store:
             SerialRunner(job_fn=_instant_job).run(specs[:3], store=store)
         with ResultStore(path) as store:
             recorder = EventRecorder()
-            outcome = ForkServerPool(
-                jobs=1, batch=2, on_event=recorder
-            ).run(specs, store=store)
+            outcome = ForkServerPool(jobs=1, on_event=recorder).run(
+                specs, store=store
+            )
             assert outcome.skipped == {s.job_id for s in specs[:3]}
             assert store.summary().done == 6
             for spec in specs[:3]:
@@ -854,9 +861,7 @@ class TestGracefulShutdown:
 
         threading.Thread(target=sigterm_once_workers_exist, daemon=True).start()
         with ResultStore(path) as store:
-            outcome = ForkServerPool(jobs=1, batch=3, retries=0).run(
-                specs, store=store
-            )
+            outcome = ForkServerPool(jobs=1, retries=0).run(specs, store=store)
             assert outcome.interrupted
             assert outcome.interrupt_signal == "SIGTERM"
             summary = store.summary()
@@ -889,6 +894,7 @@ class TestGracefulShutdown:
             import time
 
             sys.path.insert(0, {os.path.abspath(src)!r})
+            from repro.runner import pool as pool_module
             from repro.runner.forkserver import ForkServerPool
             from repro.runner.jobs import JobSpec
 
@@ -896,8 +902,9 @@ class TestGracefulShutdown:
                 JobSpec(kind="selftest", use_case="hang:300", version=str(i))
                 for i in range(2)
             ]
-            pool = ForkServerPool(jobs=2, batch=1, retries=0,
-                                  beat_interval=0.1)
+            pool_module._BATCH = 1
+            pool_module._BEAT_INTERVAL = 0.1
+            pool = ForkServerPool(jobs=2, retries=0)
             thread = threading.Thread(
                 target=pool.run, args=(specs,), daemon=True
             )
@@ -1039,7 +1046,7 @@ class TestPreferredContext:
         assert preferred_context() == "fork"
 
     def test_pool_validates_parameters(self):
-        with pytest.raises(ValueError, match="batch"):
-            ForkServerPool(batch=0)
-        with pytest.raises(ValueError, match="recycle_after"):
-            ForkServerPool(recycle_after=0)
+        with pytest.raises(ValueError, match="jobs"):
+            ForkServerPool(jobs=0)
+        with pytest.raises(ValueError, match="timeout"):
+            ForkServerPool(timeout=0.0)

@@ -112,3 +112,27 @@ class TestIdtObject:
     def test_fill_rejects_a_bad_override_vector(self, idt):
         with pytest.raises(MachineError):
             idt.fill(0x1000, {256: 0x2000})
+
+    def test_invalid_vectors_of_an_unmaterialised_table(self):
+        machine = Machine(4)
+        idt = IDT(machine, 2)  # never written: reads as zeros
+        assert idt.invalid_vectors() == list(range(256))
+
+    @given(
+        writes=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=511),
+                st.integers(min_value=0, max_value=(1 << 64) - 1),
+            ),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=60)
+    def test_invalid_vectors_match_the_per_vector_check(self, writes):
+        machine = Machine(4)
+        idt = IDT(machine, machine.alloc_frame())
+        idt.fill(0xFFFF_8300_0000_1000, {})
+        for index, value in writes:
+            machine.write_word(idt.mfn, index, value)
+        expected = [v for v in range(256) if not idt.is_valid(v)]
+        assert idt.invalid_vectors() == expected

@@ -22,8 +22,9 @@ CLI_COMMANDS = {
     "testcase": ["testcase", "suite"],
 }
 
-#: ``parity.FORK_SERVER`` as CLI flags.
-FORK_SERVER_FLAGS = ["--jobs", "2", "--fork-server", "--batch", "2", "--recycle-after", "3"]
+#: The fork-server engine's CLI flags; its runs patch the pool constants
+#: ``parity.FORK_SERVER`` names, as the oracle's own fork-server runs do.
+FORK_SERVER_FLAGS = ["--jobs", "2", "--fork-server"]
 
 
 class TestGoldenDigests:
@@ -47,9 +48,14 @@ class TestCliWiring:
         self, name, tmp_path, capsys
     ):
         outputs, stores = [], []
-        for label, flags in (("serial", []), ("fork-server", FORK_SERVER_FLAGS)):
+        for label, flags, constants in (
+            ("serial", [], {}),
+            ("fork-server", FORK_SERVER_FLAGS, parity.FORK_SERVER),
+        ):
             store = str(tmp_path / f"{label}.sqlite")
-            assert main([*CLI_COMMANDS[name], *flags, "--store", store]) == 0
+            with parity.tuned(constants):
+                code = main([*CLI_COMMANDS[name], *flags, "--store", store])
+            assert code == 0
             outputs.append(capsys.readouterr().out)
             stores.append(store)
         assert outputs[0] == outputs[1]

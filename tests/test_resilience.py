@@ -30,6 +30,7 @@ from repro.resilience import (
     frame_type_census,
 )
 from repro.runner import EventRecorder, SerialRunner, seeded_backoff
+from repro.runner import pool as pool_module
 from repro.runner import events as ev
 from repro.runner.jobs import JobSpec
 from repro.core.testbed import build_testbed
@@ -305,12 +306,11 @@ class TestSeededBackoff:
     def test_zero_base_means_no_delay(self):
         assert seeded_backoff(0.0, 5, "job:c", 5.0) == 0.0
 
-    def test_serial_retry_event_carries_the_delay(self):
+    def test_serial_retry_event_carries_the_delay(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_SERIAL_BACKOFF", 0.01)
         spec = JobSpec(kind="selftest", use_case="flaky:1")
         recorder = EventRecorder()
-        outcome = SerialRunner(
-            retries=1, backoff=0.01, on_event=recorder
-        ).run([spec])
+        outcome = SerialRunner(retries=1, on_event=recorder).run([spec])
         assert not outcome.failures
         [retried] = [e for e in recorder.events if e.kind == ev.JOB_RETRIED]
         assert retried.delay == seeded_backoff(0.01, 1, spec.job_id, 5.0)

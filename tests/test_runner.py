@@ -344,11 +344,14 @@ class TestGroupCommit:
         finally:
             store.close()
 
-    def test_serial_retry_commits_before_its_backoff_sleep(self, tmp_path):
+    def test_serial_retry_commits_before_its_backoff_sleep(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "_SERIAL_BACKOFF", 0.01)
         store = CommitCountingStore(str(tmp_path / "s.sqlite"))
         try:
             store.commits = 0
-            SerialRunner(retries=1, backoff=0.01).run(
+            SerialRunner(retries=1).run(
                 [selftest("flaky:1")], store=store
             )
             assert store.commits == 1 + 2  # register, pre-sleep, terminal
@@ -489,12 +492,11 @@ class TestBootGrace:
         self, monkeypatch, fork_server
     ):
         monkeypatch.setattr(pool_module, "_BOOT_GRACE", 7.5)
+        monkeypatch.setattr(pool_module, "_LIVENESS_GRACE", 0.5)
         spec = selftest("ok")
         verdicts = []
         for stale in (5.0, 10.0):
-            pool = WorkerPool(
-                jobs=1, liveness_grace=0.5, retries=0, fork_server=fork_server
-            )
+            pool = WorkerPool(jobs=1, retries=0, fork_server=fork_server)
             worker = _Worker(
                 worker_id=0, process=_FakeProcess(), inbox=_FakeConn(),
                 conn=_FakeConn(), started_at=time.monotonic() - stale,
@@ -503,7 +505,7 @@ class TestBootGrace:
             workers = {0: worker}
             recorder = EventRecorder()
             pool._check_workers(
-                workers, [], _Ledger([spec], None, recorder, 0, 0.0, 0.0)
+                workers, [], _Ledger([spec], None, recorder, 0, 0.0)
             )
             verdicts.append((bool(workers), [
                 event.detail for event in recorder.events
@@ -534,9 +536,12 @@ class _CountingQueue(list):
 
 
 class TestAssign:
-    def test_takes_the_first_ready_entries_and_stops_scanning(self):
+    def test_takes_the_first_ready_entries_and_stops_scanning(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "_BATCH", 3)
         specs = [selftest(f"ok:{i}") for i in range(40)]
-        pool = WorkerPool(jobs=2, batch=3, fork_server=True)
+        pool = WorkerPool(jobs=2, fork_server=True)
         later = time.monotonic() + 3600.0
         pending = _CountingQueue(
             [(0.0, 0, 0), (later, 1, 1), (0.0, 2, 0), (0.0, 3, 0),
@@ -550,7 +555,7 @@ class TestAssign:
             for worker_id in (0, 1)
         }
         pool._assign(
-            pending, workers, _Ledger(specs, None, None, 0, 0.0, 0.0)
+            pending, workers, _Ledger(specs, None, None, 0, 0.0)
         )
         assert workers[0].inbox.sent == [[(0, 0), (2, 0), (3, 0)]]
         assert workers[1].inbox.sent == [[(4, 0), (6, 0), (7, 0)]]
@@ -730,13 +735,67 @@ class TestWorkerPool:
         assert isinstance(make_runner(jobs=4), WorkerPool)
 
 
+class TestOptionSurface:
+    """What callers may set on the engine, pinned.  Batch size,
+    recycling, quarantine, heartbeat and backoff are module constants,
+    not options: no caller varies them."""
+
+    @staticmethod
+    def _names(fn) -> list:
+        return list(inspect.signature(fn).parameters)
+
+    def test_engine_parameters(self):
+        pool_options = [
+            "jobs", "timeout", "retries", "job_fn", "on_event",
+            "circuit_threshold", "fork_server",
+        ]
+        assert self._names(WorkerPool) == pool_options
+        assert self._names(make_runner) == pool_options
+        assert self._names(SerialRunner) == ["retries", "job_fn", "on_event"]
+
+    def test_service_config_fields(self):
+        from repro.service import ServiceConfig
+
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "data_dir", "jobs", "fork_server", "timeout", "retries",
+            "ack_every", "circuit_threshold", "quota",
+        ]
+
+    def test_constants_keep_the_old_defaults(self):
+        assert (
+            pool_module._BATCH, pool_module._RECYCLE_AFTER,
+            pool_module._POISON_THRESHOLD, pool_module._LIVENESS_GRACE,
+            pool_module._BEAT_INTERVAL, pool_module._BACKOFF,
+            pool_module._SERIAL_BACKOFF, pool_module._MAX_BACKOFF,
+        ) == (8, 256, 3, 30.0, 0.2, 0.05, 0.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--batch", "2"],
+            ["fuzz", "--recycle-after", "2"],
+            ["fuzz", "--heartbeat-timeout", "1"],
+            ["fuzz", "--backoff-cap", "1"],
+            ["serve", "--data-dir", "unused", "--heartbeat-timeout", "1"],
+            ["serve", "--data-dir", "unused", "--backoff-cap", "1"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
 _ENGINES = {
     "serial": lambda recorder: SerialRunner(retries=1, on_event=recorder),
     "spawn": lambda recorder: WorkerPool(
         jobs=2, retries=1, on_event=recorder
     ),
     "fork-server": lambda recorder: WorkerPool(
-        jobs=2, retries=1, fork_server=True, batch=2, on_event=recorder
+        jobs=2, retries=1, fork_server=True, on_event=recorder
     ),
 }
 
@@ -765,7 +824,10 @@ class TestLedgerContract:
         return attempts, statuses, kinds
 
     @pytest.mark.parametrize("engine", sorted(_ENGINES))
-    def test_same_attempt_rows_statuses_and_events(self, engine, tmp_path):
+    def test_same_attempt_rows_statuses_and_events(
+        self, engine, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "_BATCH", 2)  # fork-server batches
         ok, flaky, fail = (spec.job_id for spec in self.SPECS)
         attempts, statuses, kinds = self._books(engine, tmp_path)
         assert attempts == sorted([

@@ -30,6 +30,7 @@ from repro.runner import (
     plan_fuzz,
     plan_testcases,
 )
+from repro.runner import pool as pool_module
 from repro.runner.store import StoreCorrupt
 from repro.service import (
     QuotaConfig,
@@ -504,7 +505,7 @@ class TestSupervisor:
             sup.close()
 
     @pytest.mark.parametrize(
-        "option", [dict(timeout=-1.0), dict(liveness_grace=0.0), dict(batch=0)]
+        "option", [dict(timeout=-1.0)]
     )
     def test_options_the_pool_refuses_fail_at_configuration(self, tmp_path, option):
         """Not with a 202 and then every job of the first campaign."""
@@ -742,9 +743,10 @@ class TestDegradationLadder:
             forkserver, "execute_job_cached",
             lambda spec, attempt=0: os._exit(17),
         )
+        monkeypatch.setattr(pool_module, "_BATCH", 1)
         sup = make_supervisor(
-            tmp_path, jobs=2, fork_server=True, batch=1,
-            circuit_threshold=2, retries=0,
+            tmp_path, jobs=2, fork_server=True, circuit_threshold=2,
+            retries=0,
         )
         plan = {"kind": "selftest", "behaviours": ["ok"] * 6}
         try:
@@ -765,6 +767,43 @@ class TestDegradationLadder:
             assert len(finished) == len(set(finished)) == 6
         finally:
             sup.close()
+
+    def test_a_tripped_pass_marks_the_campaign_with_nothing_left(
+        self, tmp_path, monkeypatch
+    ):
+        """The fork-server pool opens its circuit, degrades and finishes
+        every job itself, so no fallback pass follows.  The circuit
+        still opened: the campaign is marked degraded, journalled and
+        announced once."""
+        import repro.runner.forkserver as forkserver
+
+        monkeypatch.setattr(
+            forkserver, "execute_job_cached",
+            lambda spec, attempt=0: os._exit(17),
+        )
+        monkeypatch.setattr(pool_module, "_BATCH", 1)
+        sup = make_supervisor(
+            tmp_path, jobs=2, fork_server=True, circuit_threshold=2,
+            retries=1,
+        )
+        plan = {"kind": "selftest", "behaviours": ["ok"] * 6}
+        try:
+            status, payload = sup.submit(plan, "alice")
+            assert status == 202
+            assert sup.run_until_idle(120)
+            final = sup.status(payload["id"])
+            assert final["state"] == "done"
+            assert final["degraded"] is True
+            kinds = [
+                r["event"]["kind"] for r in sup.stream(payload["id"]).read(0)
+            ]
+            assert "circuit-open" in kinds and "pool-degraded" in kinds
+            assert kinds.count("campaign-degraded") == 1
+        finally:
+            sup.close()
+        records, _good = jn.read_jsonl(str(tmp_path / "data" / "journal.jsonl"))
+        degraded = [r["id"] for r in records if r["type"] == "degraded"]
+        assert degraded == [payload["id"]]
 
 
 # ----------------------------------------------------------------------
